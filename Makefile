@@ -42,11 +42,16 @@ allocs:
 # full suite under the race detector.
 check: vet fmt allocs race
 
-# fuzz gives the assembler fuzz target a short budget (CI smoke; run
-# longer locally when touching the parser). The checked-in corpus under
-# internal/asm/testdata/fuzz/FuzzParse starts the run warm.
+# fuzz gives every fuzz target a short budget (CI smoke; run longer
+# locally when touching a decoder): the assembler, the job-submission
+# decode, and both daemons' state-file loaders. The checked-in corpora
+# under each package's testdata/fuzz start the runs warm; the
+# minimization cap keeps the budget on new inputs rather than on
+# shrinking the first interesting one.
 fuzz:
-	$(GO) test ./internal/asm -fuzz FuzzParse -fuzztime 30s
+	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime 10s -fuzzminimizetime 2s
 
 # verify runs the differential oracle over the whole workload suite.
 verify:

@@ -757,6 +757,21 @@ func TestClusterMetricsNames(t *testing.T) {
 		`dsasimd_cluster_jobs_completed_total{status="ok"}`,
 		`dsasimd_cluster_jobs_completed_total{status="degraded"}`,
 		`dsasimd_cluster_jobs_completed_total{status="failed"}`,
+		"dsasimd_cluster_job_retries_total",
+		"dsasimd_cluster_jobs_resumed_total",
+		"dsasimd_cluster_policy_takeovers_kept_total",
+		"dsasimd_cluster_policy_takeovers_suspended_total",
+		"dsasimd_cluster_policy_takeovers_trialed_total",
+		`dsasimd_cluster_energy_nanojoules_total{component="front_end"}`,
+		`dsasimd_cluster_energy_nanojoules_total{component="scalar"}`,
+		`dsasimd_cluster_energy_nanojoules_total{component="caches"}`,
+		`dsasimd_cluster_energy_nanojoules_total{component="neon"}`,
+		`dsasimd_cluster_energy_nanojoules_total{component="dsa"}`,
+		"dsasimd_cluster_job_duration_seconds_bucket",
+		"dsasimd_cluster_job_duration_seconds_sum",
+		"dsasimd_cluster_job_duration_seconds_count",
+		"dsasimd_cluster_job_steps_per_second_bucket",
+		"dsasimd_cluster_job_steps_per_second_count",
 	} {
 		if !strings.Contains(m, name) {
 			t.Errorf("metrics missing %q", name)

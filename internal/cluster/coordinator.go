@@ -3,8 +3,6 @@ package cluster
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -60,33 +58,6 @@ const (
 	DefaultMaxJobs  = 256
 )
 
-// cjob is one job's record in the coordinator's table. Guarded by
-// Coordinator.mu; events has its own lock.
-type cjob struct {
-	id     string
-	spec   server.JobSpec
-	status string
-	// owner/epoch are the current lease: which worker may write this
-	// job's results, and the fencing token those writes must carry.
-	// owner "" means unassigned (epoch then remembers the *last*
-	// assignment, so reassignment always bumps past it).
-	owner string
-	epoch uint64
-	// resume marks a requeued job (takeover or coordinator restart):
-	// its next owner restores from the highest-epoch checkpoint.
-	resume bool
-	// idemKey, when set, is the Idempotency-Key the job was submitted
-	// under: a later submission with the same key replays this job
-	// instead of creating a twin.
-	idemKey  string
-	queued   time.Time
-	started  time.Time
-	finished time.Time
-	progress *server.ProgressJSON
-	result   *server.ResultJSON
-	events   *server.Broadcaster
-}
-
 // workerEntry is one live worker's lease.
 type workerEntry struct {
 	id       string
@@ -112,14 +83,15 @@ func newSession() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Coordinator owns the cluster's job table and lease table, serves the
-// public job API (same shapes as the standalone daemon), and runs the
-// lease protocol against worker processes. Failure detection is the
-// expiry loop: a worker that misses its lease TTL is declared dead and
-// its jobs are reassigned at higher epochs.
+// Coordinator owns the cluster's job plane (the same public API as the
+// standalone daemon) and lease table, and runs the lease protocol
+// against worker processes. Failure detection is the expiry loop: a
+// worker that misses its lease TTL is declared dead and its jobs are
+// reassigned at higher epochs.
 type Coordinator struct {
 	cfg      Config
 	metrics  *clusterMetrics
+	mux      *http.ServeMux
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
 	stopOnce sync.Once
@@ -130,19 +102,17 @@ type Coordinator struct {
 	leaderEpoch uint64
 	repl        *replicator
 
+	// mu guards the plane's job table together with the lease table
+	// and counters, so a job and its lease change in one step and
+	// replication records append in mutation order.
 	mu      sync.Mutex
-	jobs    map[string]*cjob
-	order   []string
+	plane   *server.Plane
 	workers map[string]*workerEntry
-	// idem maps Idempotency-Key → job ID for replaying duplicate
-	// submissions. Persisted with the jobs (and replicated), so the
-	// dedup survives a coordinator restart and a failover.
-	idem map[string]string
 	// nextEpoch is the fencing-token counter: every assignment gets
 	// epoch stampEpochLocked() — ++nextEpoch composed under the
 	// leadership term — globally monotonic across jobs, workers, and
 	// (via the state file) coordinator restarts.
-	nextJob, nextWorker, nextEpoch uint64
+	nextWorker, nextEpoch uint64
 }
 
 // NewCoordinator builds the coordinator, restores its tables from
@@ -170,10 +140,17 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		leaderEpoch: cfg.leaderEpoch,
 		repl:        cfg.repl,
 		stopCh:      make(chan struct{}),
-		jobs:        map[string]*cjob{},
 		workers:     map[string]*workerEntry{},
-		idem:        map[string]string{},
 	}
+	c.plane = server.NewPlane(server.Hooks{
+		Mu:       &c.mu,
+		Draining: c.draining.Load,
+		Full:     c.fullLocked,
+		Admitted: c.admittedLocked,
+		Unready:  c.unreadyLocked,
+		Metrics:  c.Metrics,
+	}, cfg.RetryAfter, metrics.jobs)
+	c.mux = c.routes()
 	if cfg.preload != nil {
 		// A promoted standby adopts its replicated mirror instead of
 		// the state file — and persists it at once, so the file matches
@@ -214,16 +191,19 @@ func (c *Coordinator) loop(tick time.Duration) {
 			return
 		case <-t.C:
 			c.mu.Lock()
-			c.expireLocked(time.Now())
-			c.assignLocked()
+			expired := c.expireLocked(time.Now())
+			if c.assignLocked() || expired {
+				c.saveStateLocked()
+			}
 			c.mu.Unlock()
 		}
 	}
 }
 
 // expireLocked declares workers with lapsed leases dead and requeues
-// their non-terminal jobs for takeover.
-func (c *Coordinator) expireLocked(now time.Time) {
+// their non-terminal jobs for takeover. It reports whether any lease
+// expired.
+func (c *Coordinator) expireLocked(now time.Time) (expired bool) {
 	for id, w := range c.workers {
 		if !now.After(w.deadline) {
 			continue
@@ -233,58 +213,59 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		c.metrics.onLeaseExpire()
 		released := 0
 		for jid := range w.jobs {
-			j := c.jobs[jid]
-			if j == nil || server.Terminal(j.status) || j.owner != id {
+			j := c.plane.Get(jid)
+			if j == nil || server.Terminal(j.Status) || j.Owner != id {
 				continue
 			}
-			j.owner = ""
-			j.resume = true
-			j.status = server.StatusQueued
+			j.Owner = ""
+			j.Resume = true
+			j.Status = server.StatusQueued
 			c.repJobLocked(j)
 			released++
 		}
 		c.metrics.onTakeover(released)
 		c.cfg.Logf("dsasimd: worker %s lease expired, %d job(s) requeued for takeover", id, released)
-		c.saveStateLocked()
+		expired = true
 	}
+	return expired
 }
 
 // assignLocked hands every unassigned queued job to a worker with
 // spare capacity, chosen by consistent hashing on the job ID, each
 // assignment under a freshly bumped fencing epoch. Jobs that find no
-// eligible worker stay pending for the next pass.
-func (c *Coordinator) assignLocked() {
+// eligible worker stay pending for the next pass. It reports whether
+// anything was assigned; persisting is the caller's, once per request.
+func (c *Coordinator) assignLocked() (changed bool) {
 	if len(c.workers) == 0 {
-		return
+		return false
 	}
 	ids := make([]string, 0, len(c.workers))
 	for id := range c.workers {
 		ids = append(ids, id)
 	}
 	r := newRing(ids)
-	changed := false
-	for _, jid := range c.order {
-		j := c.jobs[jid]
-		if j.status != server.StatusQueued || j.owner != "" {
-			continue
+	c.plane.Each(func(j *server.Job) bool {
+		if j.Status != server.StatusQueued || j.Owner != "" {
+			return true
 		}
-		w := r.owner(jid, func(wid string) bool {
+		w := r.owner(j.ID, func(wid string) bool {
 			we := c.workers[wid]
 			return len(we.jobs) < we.capacity
 		})
 		if w == "" {
-			break // every worker is at capacity; later jobs can't do better
+			return false // every worker is at capacity; later jobs can't do better
 		}
-		j.owner = w
-		j.epoch = c.stampEpochLocked()
-		c.workers[w].jobs[jid] = struct{}{}
+		j.Owner = w
+		j.Epoch = c.stampEpochLocked()
+		c.workers[w].jobs[j.ID] = struct{}{}
 		c.repJobLocked(j)
 		changed = true
-	}
+		return true
+	})
 	if changed {
 		c.repCountersLocked()
-		c.saveStateLocked()
 	}
+	return changed
 }
 
 // stampEpochLocked mints the next assignment fencing epoch. Solo mode
@@ -304,12 +285,12 @@ func (c *Coordinator) stampEpochLocked() uint64 {
 // tee one mutation into the replication log (no-ops without one). The
 // caller must hold c.mu — that ordering is what makes the log replay
 // deterministic.
-func (c *Coordinator) repJobLocked(j *cjob) {
+func (c *Coordinator) repJobLocked(j *server.Job) {
 	if c.repl == nil {
 		return
 	}
-	pj := c.persistJobLocked(j)
-	c.repl.append(repRecord{Kind: recJob, Job: &pj})
+	row := j.Row()
+	c.repl.append(repRecord{Kind: recJob, Job: &row})
 }
 
 func (c *Coordinator) repWorkerLocked(we *workerEntry) {
@@ -330,7 +311,7 @@ func (c *Coordinator) repCountersLocked() {
 	if c.repl == nil {
 		return
 	}
-	c.repl.append(repRecord{Kind: recCounters, Counters: &repCounters{NextJob: c.nextJob, NextWorker: c.nextWorker, NextEpoch: c.nextEpoch}})
+	c.repl.append(repRecord{Kind: recCounters, Counters: &repCounters{NextJob: c.plane.Issued, NextWorker: c.nextWorker, NextEpoch: c.nextEpoch}})
 }
 
 // replicaSnapshot renders a full-state catch-up record, consistent
@@ -347,110 +328,30 @@ func (c *Coordinator) replicaSnapshot() repRecord {
 	return repRecord{Seq: seq, Kind: recSnapshot, State: &st}
 }
 
-// Submit admits a job into the cluster table. Admission mirrors the
-// standalone daemon: 400 invalid, 503 draining, 429 table full. A
-// non-empty idemKey that matches an earlier submission replays that
-// job (deduped=true) instead of creating a twin — checked before the
-// draining and table-full refusals, so a client retrying after an
-// ambiguous success (response lost on the wire) always converges on
-// the job it already created, even if the table filled up meanwhile.
-func (c *Coordinator) Submit(spec server.JobSpec, idemKey string) (view *server.JobView, deduped bool, err error) {
-	c.mu.Lock()
-	if idemKey != "" {
-		if jid, ok := c.idem[idemKey]; ok {
-			v := c.viewLocked(c.jobs[jid])
-			c.mu.Unlock()
-			c.metrics.onDedup()
-			return &v, true, nil
-		}
+// fullLocked bounds the open (non-terminal) jobs at MaxJobs.
+func (c *Coordinator) fullLocked() string {
+	if c.plane.Open() >= c.cfg.MaxJobs {
+		return "job table full"
 	}
-	if verr := spec.Validate(); verr != nil {
-		c.mu.Unlock()
-		return nil, false, &admissionError{code: http.StatusBadRequest, msg: verr.Error()}
+	return ""
+}
+
+// unreadyLocked: the cluster can usefully accept a submission only
+// when at least one worker holds a current lease.
+func (c *Coordinator) unreadyLocked() string {
+	if len(c.workers) == 0 {
+		return "no live workers"
 	}
-	if c.draining.Load() {
-		c.mu.Unlock()
-		c.metrics.onReject()
-		return nil, false, &admissionError{code: http.StatusServiceUnavailable, msg: "draining"}
-	}
-	open := 0
-	for _, jid := range c.order {
-		if !server.Terminal(c.jobs[jid].status) {
-			open++
-		}
-	}
-	if open >= c.cfg.MaxJobs {
-		c.mu.Unlock()
-		c.metrics.onReject()
-		return nil, false, &admissionError{
-			code:       http.StatusTooManyRequests,
-			msg:        fmt.Sprintf("job table full (%d open jobs)", open),
-			retryAfter: c.cfg.RetryAfter,
-		}
-	}
-	c.nextJob++
-	j := &cjob{
-		id:      fmt.Sprintf("j%06d", c.nextJob),
-		spec:    spec,
-		status:  server.StatusQueued,
-		idemKey: idemKey,
-		queued:  time.Now(),
-		events:  server.NewBroadcaster(),
-	}
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-	if idemKey != "" {
-		c.idem[idemKey] = j.id
-	}
-	c.assignLocked()
-	// Replicate the admission even when no worker could take it yet
-	// (assignLocked only records jobs it assigned). The upsert is
-	// idempotent on the standby, so the duplicate is harmless.
+	return ""
+}
+
+// admittedLocked replicates an admission, assigns it if a worker has
+// room, and persists the tables — one save per submission.
+func (c *Coordinator) admittedLocked(j *server.Job) {
 	c.repJobLocked(j)
+	c.assignLocked()
 	c.repCountersLocked()
 	c.saveStateLocked()
-	v := c.viewLocked(j)
-	c.mu.Unlock()
-	c.metrics.onSubmit()
-	return &v, false, nil
-}
-
-// Job returns one job's current view.
-func (c *Coordinator) Job(id string) (*server.JobView, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	v := c.viewLocked(j)
-	return &v, true
-}
-
-// Jobs lists every job in submission order.
-func (c *Coordinator) Jobs() []server.JobView {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]server.JobView, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.viewLocked(c.jobs[id]))
-	}
-	return out
-}
-
-func (c *Coordinator) viewLocked(j *cjob) server.JobView {
-	return server.JobView{
-		ID:       j.id,
-		Status:   j.status,
-		Spec:     j.spec,
-		Queued:   fmtTime(j.queued),
-		Started:  fmtTime(j.started),
-		Finished: fmtTime(j.finished),
-		Progress: j.progress,
-		Result:   j.result,
-		Owner:    j.owner,
-		Epoch:    j.epoch,
-	}
 }
 
 // gaugesSnapshot samples the point-in-time gauges. The HA node reuses
@@ -463,12 +364,12 @@ func (c *Coordinator) gaugesSnapshot() clusterGauges {
 		inflight[id] = len(w.jobs)
 	}
 	pending := 0
-	for _, jid := range c.order {
-		j := c.jobs[jid]
-		if j.status == server.StatusQueued && j.owner == "" {
+	c.plane.Each(func(j *server.Job) bool {
+		if j.Status == server.StatusQueued && j.Owner == "" {
 			pending++
 		}
-	}
+		return true
+	})
 	g := clusterGauges{workersLive: len(c.workers), jobsPending: pending, inflight: inflight, role: 1}
 	if c.repl != nil {
 		g.replSeq = c.repl.last()
@@ -497,30 +398,4 @@ func (c *Coordinator) Close() {
 		c.mu.Unlock()
 		c.cfg.Logf("dsasimd: coordinator closed")
 	})
-}
-
-// admissionError mirrors the server's: the HTTP answer for a refusal.
-type admissionError struct {
-	code       int
-	msg        string
-	retryAfter time.Duration
-}
-
-func (e *admissionError) Error() string { return e.msg }
-
-func fmtTime(t time.Time) string {
-	if t.IsZero() {
-		return ""
-	}
-	return t.UTC().Format(time.RFC3339Nano)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

@@ -460,14 +460,14 @@ func postReplicateBody(hc *http.Client, peer string, body []byte, timeout time.D
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "reading batch: "+err.Error())
+		server.HTTPError(w, http.StatusBadRequest, "reading batch: "+err.Error())
 		return
 	}
 	hdr, recs, err := decodeReplicateBatch(body)
 	if err != nil {
 		// Truncated or bit-flipped in flight: reject whole; the leader
 		// resends from the unacknowledged watermark.
-		httpError(w, http.StatusBadRequest, "bad batch: "+err.Error())
+		server.HTTPError(w, http.StatusBadRequest, "bad batch: "+err.Error())
 		return
 	}
 	n.mu.Lock()
@@ -475,7 +475,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		cur := n.leaderEpoch
 		n.mu.Unlock()
 		n.metrics.onReplicationReject()
-		writeJSON(w, http.StatusConflict, map[string]any{
+		server.WriteJSON(w, http.StatusConflict, map[string]any{
 			"error": "stale leadership term: writes fenced", "term": cur,
 		})
 		return
@@ -510,7 +510,7 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			n.logf("dsasimd-ha: saving standby state: %v", err)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // Handler returns the node's HTTP surface: the public job API (served
@@ -519,48 +519,37 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // rotate), role-aware readiness, and the replication endpoint.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", n.public((*Coordinator).handleSubmit))
-	mux.HandleFunc("GET /v1/jobs", n.public((*Coordinator).handleList))
-	mux.HandleFunc("GET /v1/jobs/{id}", n.public((*Coordinator).handleJob))
-	mux.HandleFunc("GET /v1/jobs/{id}/events", n.public((*Coordinator).handleEvents))
+	mux.HandleFunc("/v1/", n.public)
 	mux.HandleFunc("GET /metrics", n.handleMetrics)
 	mux.HandleFunc("GET /healthz", n.handleHealth)
 	mux.HandleFunc("GET /readyz", n.handleReady)
-
-	mux.HandleFunc("POST /cluster/v1/join", n.workerEP((*Coordinator).handleJoin))
-	mux.HandleFunc("POST /cluster/v1/heartbeat", n.workerEP((*Coordinator).handleHeartbeat))
-	mux.HandleFunc("POST /cluster/v1/complete", n.workerEP((*Coordinator).handleComplete))
-	mux.HandleFunc("POST /cluster/v1/progress", n.workerEP((*Coordinator).handleProgress))
+	mux.HandleFunc("/cluster/v1/", n.workerEP)
 	mux.HandleFunc("POST /cluster/v1/replicate", n.handleReplicate)
 	return mux
 }
 
-// public serves a job-API handler from the live coordinator, or — on a
+// public serves the job API from the live coordinator, or — on a
 // standby — forwards to the known leader so clients that landed on the
 // wrong node still get an answer.
-func (n *Node) public(h func(*Coordinator, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if c := n.Leader(); c != nil {
-			h(c, w, r)
-			return
-		}
-		n.proxyToLeader(w, r)
+func (n *Node) public(w http.ResponseWriter, r *http.Request) {
+	if c := n.Leader(); c != nil {
+		c.Handler().ServeHTTP(w, r)
+		return
 	}
+	n.proxyToLeader(w, r)
 }
 
-// workerEP serves a lease-protocol handler on the leader and refuses
-// with 503 + role on a standby. 503 — not 409 — on purpose: 409 makes
-// a worker self-fence (checkpoint, unwind, rejoin fresh), which would
+// workerEP serves the lease protocol on the leader and refuses with
+// 503 + role on a standby. 503 — not 409 — on purpose: 409 makes a
+// worker self-fence (checkpoint, unwind, rejoin fresh), which would
 // needlessly restart its jobs just because it polled the wrong node;
 // 503 makes it rotate endpoints and carry on.
-func (n *Node) workerEP(h func(*Coordinator, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if c := n.Leader(); c != nil {
-			h(c, w, r)
-			return
-		}
-		n.standbyRefuse(w)
+func (n *Node) workerEP(w http.ResponseWriter, r *http.Request) {
+	if c := n.Leader(); c != nil {
+		c.Handler().ServeHTTP(w, r)
+		return
 	}
+	n.standbyRefuse(w)
 }
 
 // proxyToLeader forwards one public request to the current leader,
@@ -607,7 +596,7 @@ func (n *Node) standbyRefuse(w http.ResponseWriter) {
 	}
 	n.mu.Unlock()
 	w.Header().Set(roleHeader, "standby")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+	server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 		"error": "standby: not leading", "leader": leader,
 	})
 }
@@ -616,18 +605,20 @@ func (n *Node) standbyRefuse(w http.ResponseWriter) {
 // leader. Readiness is where roles show.
 func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if c := n.Leader(); c != nil {
-		c.handleHealth(w, r)
+		c.Handler().ServeHTTP(w, r)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReady: a leader answers for the cluster (workers live?); a
-// standby is never ready to take traffic — 503 with the role header
-// and the leader's URL as the hint.
+// handleReady: a leader answers for the cluster (draining, job table
+// full, workers live?); a standby is never ready to take traffic — 503
+// with the role header and the leader's URL as the hint. Both label
+// their role; clients and the leader-liveness probe key off it.
 func (n *Node) handleReady(w http.ResponseWriter, r *http.Request) {
 	if c := n.Leader(); c != nil {
-		c.handleReady(w, r)
+		w.Header().Set(roleHeader, "leader")
+		c.Handler().ServeHTTP(w, r)
 		return
 	}
 	n.mu.Lock()
@@ -637,7 +628,7 @@ func (n *Node) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 	n.mu.Unlock()
 	w.Header().Set(roleHeader, "standby")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+	server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 		"status": "unready", "reason": "standby", "leader": leader,
 	})
 }

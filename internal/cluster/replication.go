@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/snapshot"
 )
 
@@ -51,7 +52,7 @@ type repCounters struct {
 type repRecord struct {
 	Seq       uint64           `json:"seq"`
 	Kind      string           `json:"kind"`
-	Job       *persistedJob    `json:"job,omitempty"`
+	Job       *server.JobRow   `json:"job,omitempty"`
 	Worker    *persistedWorker `json:"worker,omitempty"`
 	WorkerDel string           `json:"worker_del,omitempty"`
 	Counters  *repCounters     `json:"counters,omitempty"`
@@ -236,7 +237,7 @@ type standby struct {
 	lastPush  time.Time
 	threshold time.Duration
 
-	jobs     map[string]*persistedJob
+	jobs     map[string]*server.JobRow
 	order    []string
 	workers  map[string]*persistedWorker
 	counters repCounters
@@ -248,7 +249,7 @@ func newStandby(leaderEpoch uint64, leader string, ttl time.Duration) *standby {
 		leader:      leader,
 		lastPush:    time.Now(),
 		threshold:   ttl + fullJitter(ttl),
-		jobs:        map[string]*persistedJob{},
+		jobs:        map[string]*server.JobRow{},
 		workers:     map[string]*persistedWorker{},
 	}
 }
@@ -260,7 +261,7 @@ func (sb *standby) adopt(leaderEpoch uint64, leader string) {
 		sb.leader = leader
 	}
 	sb.lastSeq, sb.synced, sb.applied = 0, false, 0
-	sb.jobs = map[string]*persistedJob{}
+	sb.jobs = map[string]*server.JobRow{}
 	sb.order = nil
 	sb.workers = map[string]*persistedWorker{}
 	sb.counters = repCounters{}
@@ -269,7 +270,7 @@ func (sb *standby) adopt(leaderEpoch uint64, leader string) {
 
 // install replaces the mirror with a full snapshot record.
 func (sb *standby) install(st *clusterState, seq uint64) {
-	sb.jobs = map[string]*persistedJob{}
+	sb.jobs = map[string]*server.JobRow{}
 	sb.order = nil
 	sb.workers = map[string]*persistedWorker{}
 	for i := range st.Jobs {
@@ -285,7 +286,7 @@ func (sb *standby) install(st *clusterState, seq uint64) {
 	sb.applied++
 }
 
-func (sb *standby) upsertJob(pj *persistedJob) {
+func (sb *standby) upsertJob(pj *server.JobRow) {
 	cp := *pj
 	if _, ok := sb.jobs[cp.ID]; !ok {
 		sb.order = append(sb.order, cp.ID)

@@ -2,9 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/server"
@@ -23,18 +20,6 @@ const stateSection = "dsasimd.cluster"
 // watermark, encoded with the snapshot codec.
 const haSection = "dsasimd.cluster.ha"
 
-type persistedJob struct {
-	ID      string             `json:"id"`
-	Spec    server.JobSpec     `json:"spec"`
-	Status  string             `json:"status"`
-	Owner   string             `json:"owner,omitempty"`
-	Epoch   uint64             `json:"epoch,omitempty"`
-	Resume  bool               `json:"resume,omitempty"`
-	IdemKey string             `json:"idem_key,omitempty"`
-	Queued  string             `json:"queued,omitempty"`
-	Result  *server.ResultJSON `json:"result,omitempty"`
-}
-
 type persistedWorker struct {
 	ID       string `json:"id"`
 	Capacity int    `json:"capacity"`
@@ -49,34 +34,15 @@ type clusterState struct {
 	NextJob    uint64            `json:"next_job"`
 	NextWorker uint64            `json:"next_worker"`
 	NextEpoch  uint64            `json:"next_epoch"`
-	Jobs       []persistedJob    `json:"jobs"`
+	Jobs       []server.JobRow   `json:"jobs"`
 	Workers    []persistedWorker `json:"workers,omitempty"`
-}
-
-// persistJobLocked renders one job as its persisted (and replicated)
-// form. The caller must hold c.mu.
-func (c *Coordinator) persistJobLocked(j *cjob) persistedJob {
-	return persistedJob{
-		ID:      j.id,
-		Spec:    j.spec,
-		Status:  j.status,
-		Owner:   j.owner,
-		Epoch:   j.epoch,
-		Resume:  j.resume,
-		IdemKey: j.idemKey,
-		Queued:  fmtTime(j.queued),
-		Result:  j.result,
-	}
 }
 
 // exportStateLocked renders the coordinator's whole persisted state —
 // the payload of both the state file and replication snapshot records.
 // The caller must hold c.mu.
 func (c *Coordinator) exportStateLocked() clusterState {
-	st := clusterState{NextJob: c.nextJob, NextWorker: c.nextWorker, NextEpoch: c.nextEpoch}
-	for _, jid := range c.order {
-		st.Jobs = append(st.Jobs, c.persistJobLocked(c.jobs[jid]))
-	}
+	st := clusterState{NextJob: c.plane.Issued, NextWorker: c.nextWorker, NextEpoch: c.nextEpoch, Jobs: c.plane.Rows()}
 	for _, we := range c.workers {
 		st.Workers = append(st.Workers, persistedWorker{ID: we.id, Capacity: we.capacity, Session: we.session})
 	}
@@ -89,50 +55,25 @@ func (c *Coordinator) saveStateLocked() {
 	if c.cfg.StateFile == "" {
 		return
 	}
-	st := c.exportStateLocked()
-	payload, err := json.Marshal(st)
-	if err != nil {
-		c.cfg.Logf("dsasimd: saving cluster state: %v", err)
-		return
-	}
-	w := snapshot.Writer{Epoch: c.leaderEpoch}
-	w.Add(stateSection, payload)
-	if err := w.WriteFile(c.cfg.StateFile); err != nil {
+	if err := server.WriteState(c.cfg.StateFile, stateSection, c.leaderEpoch, c.exportStateLocked()); err != nil {
 		c.cfg.Logf("dsasimd: saving cluster state: %v", err)
 	}
 }
 
-// loadStateFile reads and decodes a coordinator state file. A missing
-// file returns (nil, nil) — a fresh start. A corrupt one is renamed
-// aside and reported.
+// loadStateFile reads a coordinator state file: nil, nil when there is
+// none; a bad one is quarantined and reported (server.ReadState).
 func loadStateFile(path string) (*clusterState, error) {
-	rd, err := snapshot.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		quarantine := path + ".bad"
-		_ = os.Rename(path, quarantine)
-		return nil, fmt.Errorf("cluster state %s unreadable (%w); moved to %s, starting fresh", path, err, quarantine)
-	}
-	payload, err := rd.Section(stateSection)
-	if err != nil {
-		return nil, fmt.Errorf("cluster state %s: %w", path, err)
-	}
 	var st clusterState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return nil, fmt.Errorf("cluster state %s: %w", path, err)
+	if found, err := server.ReadState(path, stateSection, &st); !found {
+		return nil, err
 	}
 	return &st, nil
 }
 
 // restore loads a previous coordinator's tables from the state file.
 func (c *Coordinator) restore() error {
-	if c.cfg.StateFile == "" {
-		return nil
-	}
 	st, err := loadStateFile(c.cfg.StateFile)
-	if err != nil || st == nil {
+	if st == nil {
 		return err
 	}
 	c.mu.Lock()
@@ -151,7 +92,7 @@ func (c *Coordinator) restore() error {
 // grace TTL expires and takeover proceeds normally. The caller must
 // hold c.mu.
 func (c *Coordinator) adoptStateLocked(st *clusterState) {
-	c.nextJob, c.nextWorker, c.nextEpoch = st.NextJob, st.NextWorker, st.NextEpoch
+	c.plane.Issued, c.nextWorker, c.nextEpoch = st.NextJob, st.NextWorker, st.NextEpoch
 	grace := time.Now().Add(c.cfg.LeaseTTL)
 	for _, pw := range st.Workers {
 		// The sequence watermark is deliberately NOT carried over: the
@@ -168,46 +109,21 @@ func (c *Coordinator) adoptStateLocked(st *clusterState) {
 			jobs:     map[string]struct{}{},
 		}
 	}
-	for i := range st.Jobs {
-		pj := st.Jobs[i]
-		j := &cjob{
-			id:      pj.ID,
-			spec:    pj.Spec,
-			status:  pj.Status,
-			owner:   pj.Owner,
-			epoch:   pj.Epoch,
-			resume:  pj.Resume,
-			idemKey: pj.IdemKey,
-			result:  pj.Result,
-			events:  server.NewBroadcaster(),
-		}
-		if t, terr := time.Parse(time.RFC3339Nano, pj.Queued); terr == nil {
-			j.queued = t
-		}
-		c.jobs[j.id] = j
-		c.order = append(c.order, j.id)
-		if j.idemKey != "" {
-			c.idem[j.idemKey] = j.id
-		}
-		if server.Terminal(j.status) {
-			if j.result != nil {
-				j.events.Publish(server.Event{Type: "done", Job: j.id, Status: j.status, Result: j.result})
-			}
+	for _, j := range c.plane.Restore(st.Jobs) {
+		if j.Owner == "" {
 			continue
 		}
-		if j.owner != "" {
-			if we := c.workers[j.owner]; we != nil {
-				// The lease survives the restart; if the worker still
-				// runs the job, its next heartbeat simply confirms it.
-				we.jobs[j.id] = struct{}{}
-				j.resume = true
-			} else {
-				// Owner not in the persisted lease table (crashed before
-				// the last save): requeue for takeover.
-				j.owner = ""
-				j.resume = true
-				j.status = server.StatusQueued
-			}
+		if we := c.workers[j.Owner]; we != nil {
+			// The lease survives the restart; if the worker still runs
+			// the job, its next heartbeat simply confirms it.
+			we.jobs[j.ID] = struct{}{}
+			j.Resume = true
+		} else {
+			// Owner not in the persisted lease table (crashed before
+			// the last save): requeue for takeover.
+			j.Owner = ""
+			j.Resume = true
+			j.Status = server.StatusQueued
 		}
 	}
 }

@@ -359,15 +359,8 @@ func (w *Worker) launch(id string, pool *runner.Pool, a Assignment) {
 			delete(w.running, a.Job)
 			w.mu.Unlock()
 		}()
-		job, err := a.Spec.RunnerJob(a.Job)
-		if err != nil {
-			w.report(id, a, server.ResultJSON{Job: a.Job, Status: string(runner.StatusFailed), Cause: "bad-spec", Error: err.Error()})
-			return
-		}
-		job.Epoch = a.Epoch
-		job.Resume = a.Resume
-		res := pool.Do(context.Background(), job)
-		if res.Status == runner.StatusFailed && (res.Cause == runner.CauseRevoked || res.Cause == runner.CauseDrained) {
+		res, ok := server.RunJob(context.Background(), pool, a.Job, a.Spec, a.Epoch, a.Resume)
+		if !ok {
 			// Not a result: the lease went away mid-run. The checkpoint
 			// stays for the next owner; nothing to report.
 			return
@@ -375,7 +368,7 @@ func (w *Worker) launch(id string, pool *runner.Pool, a Assignment) {
 		if res.ResumedFromStep > 0 {
 			w.cfg.Logf("dsasimd-worker: %s resumed %s from step %d (epoch %d)", id, a.Job, res.ResumedFromStep, a.Epoch)
 		}
-		w.report(id, a, server.ResultFromRunner(res))
+		w.report(id, a, res)
 	}()
 }
 
@@ -428,10 +421,7 @@ func (w *Worker) onProgress(p runner.Progress) {
 	if !ok {
 		return
 	}
-	req := ProgressRequest{Worker: id, Job: p.Job, Epoch: a.epoch, Progress: server.ProgressJSON{
-		Job: p.Job, Attempt: p.Attempt, DSAOff: p.DSAOff,
-		Steps: p.Steps, Ticks: p.Ticks, Takeovers: p.Takeovers, Fallbacks: p.Fallbacks,
-	}}
+	req := ProgressRequest{Worker: id, Job: p.Job, Epoch: a.epoch, Progress: server.ProgressFromRunner(p)}
 	if _, err := w.post(rpcTimeout, "/cluster/v1/progress", req, nil); err != nil {
 		var ne net.Error
 		if errors.Is(err, context.DeadlineExceeded) || (errors.As(err, &ne) && ne.Timeout()) {

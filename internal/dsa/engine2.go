@@ -307,7 +307,7 @@ func (e *Engine) decideSimple(t *track) {
 	// full vectors to pay for itself.
 	if n-4 < 2*dt.Lanes() {
 		e.policyLoss(t.id) // analysis paid, nothing taken over
-		return // too few iterations left this entry; cached for later
+		return             // too few iterations left this entry; cached for later
 	}
 	if e.pending == nil {
 		e.pending = e.newRequest(Request{Kind: ReqVector, Analysis: a, StartIter: 4, TotalIters: n, Cached: entry})

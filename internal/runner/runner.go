@@ -435,8 +435,8 @@ func attempt(ctx context.Context, job Job, opts Options, p *Pool, dsaOff bool, c
 			return nil, resumedFrom, note, fmt.Errorf("%w: %v", ErrCheckFailed, err)
 		}
 		return &outcome{ticks: m.Ticks, steps: m.Steps, memSum: m.Mem.Sum64(),
-		energy: energy.Compute(energy.DefaultParams(), m.Counts,
-			m.Caches.L1Stats(), m.Caches.L2Stats(), energy.DSAEvents{})}, resumedFrom, note, nil
+			energy: energy.Compute(energy.DefaultParams(), m.Counts,
+				m.Caches.L1Stats(), m.Caches.L2Stats(), energy.DSAEvents{})}, resumedFrom, note, nil
 	}
 
 	newSys := func() (*dsa.System, error) {

@@ -7,9 +7,15 @@
 // Prometheus metrics. A SIGTERM drain checkpoints in-flight jobs
 // through the runner's snapshot machinery so a restarted daemon
 // resumes them bit-identically.
+//
+// The job plane itself — job records and rows, admission, views,
+// public routes, job-result metrics and runner glue (plane.go) — is
+// shared with the cluster coordinator, which plugs its own capacity,
+// dispatch and readiness into the same Plane.
 package server
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -61,10 +67,11 @@ func ConfigByName(name string) (cfg dsa.Config, dsaOff bool, err error) {
 	}
 }
 
-// Validate normalizes the spec and reports the first problem. It is
-// called at submission time so clients get a 400, never a failed job,
-// for malformed requests.
+// Validate normalizes the spec — CR and LF in the name become spaces —
+// and reports the first problem. It is called at submission time so
+// clients get a 400, never a failed job, for malformed requests.
 func (s *JobSpec) Validate() error {
+	s.Name = trimSourceName(s.Name)
 	if (s.Workload == "") == (s.Source == "") {
 		return fmt.Errorf("exactly one of workload or source must be set")
 	}
@@ -236,6 +243,27 @@ func ResultFromRunner(r runner.Result) ResultJSON {
 	return out
 }
 
+// RunJob runs a job's spec on pool under its service ID — the runner
+// glue both planes share. epoch and resume pick the checkpoint the
+// first attempt restores from. ok is false when a drain or a
+// revocation cut the run short: the checkpoint stays for the next run
+// and there is no result to record.
+func RunJob(ctx context.Context, pool *runner.Pool, id string, spec JobSpec, epoch uint64, resume bool) (r ResultJSON, ok bool) {
+	job, err := spec.RunnerJob(id)
+	if err != nil {
+		// Admission validates every spec, so this is a state-file edit
+		// or a workload renamed across versions: fail the job, keep
+		// the service.
+		return ResultJSON{Job: id, Status: string(runner.StatusFailed), Cause: "bad-spec", Error: err.Error()}, true
+	}
+	job.Epoch, job.Resume = epoch, resume
+	res := pool.Do(ctx, job)
+	if res.Status == runner.StatusFailed && (res.Cause == runner.CauseDrained || res.Cause == runner.CauseRevoked) {
+		return ResultJSON{}, false
+	}
+	return ResultFromRunner(res), true
+}
+
 // ProgressJSON is one live progress sample on the SSE stream.
 type ProgressJSON struct {
 	Job       string `json:"job"`
@@ -245,6 +273,12 @@ type ProgressJSON struct {
 	Ticks     int64  `json:"ticks"`
 	Takeovers uint64 `json:"takeovers"`
 	Fallbacks uint64 `json:"fallbacks"`
+}
+
+// ProgressFromRunner renders a pool progress sample in the wire schema.
+func ProgressFromRunner(p runner.Progress) ProgressJSON {
+	return ProgressJSON{Job: p.Job, Attempt: p.Attempt, DSAOff: p.DSAOff,
+		Steps: p.Steps, Ticks: p.Ticks, Takeovers: p.Takeovers, Fallbacks: p.Fallbacks}
 }
 
 // JobView is the polling shape of GET /v1/jobs/{id}.
@@ -292,9 +326,8 @@ func fmtTime(t time.Time) string {
 	return t.UTC().Format(time.RFC3339Nano)
 }
 
-// trimSourceName keeps client-supplied names filesystem- and
-// metrics-safe: the service uses job IDs for files, so this only
-// guards log readability.
+// trimSourceName keeps client-supplied names log-safe: the service
+// uses job IDs for files, so this only guards log readability.
 func trimSourceName(s string) string {
 	return strings.Map(func(r rune) rune {
 		if r == '\n' || r == '\r' {

@@ -12,8 +12,7 @@ import (
 // subscriber whose buffer is full drops intermediate progress events
 // (each sample supersedes the last) but always receives status changes
 // and the terminal event, because Publish retries those after clearing
-// room. It is exported so the cluster coordinator can feed the same
-// per-job streams from worker-pushed events.
+// room.
 type Broadcaster struct {
 	mu   sync.Mutex
 	subs map[chan Event]struct{}
@@ -22,7 +21,7 @@ type Broadcaster struct {
 	done *Event
 }
 
-func NewBroadcaster() *Broadcaster {
+func newBroadcaster() *Broadcaster {
 	return &Broadcaster{subs: map[chan Event]struct{}{}}
 }
 
@@ -85,16 +84,15 @@ func (b *Broadcaster) Publish(ev Event) {
 	}
 }
 
-// StreamEvents serves one job's Broadcaster as a server-sent-event
+// streamEvents serves one job's Broadcaster as a server-sent-event
 // stream until the job's terminal event or client disconnect. status
 // is the job's state at call time: non-terminal states open the stream
 // with a status snapshot; terminal jobs get their replayed "done" from
-// the subscription instead. Shared by the standalone daemon and the
-// cluster coordinator so both speak the same SSE wire format.
-func StreamEvents(w http.ResponseWriter, r *http.Request, b *Broadcaster, jobID, status string) {
+// the subscription instead.
+func streamEvents(w http.ResponseWriter, r *http.Request, b *Broadcaster, jobID, status string) {
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
+		HTTPError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 

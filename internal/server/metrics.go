@@ -5,25 +5,21 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
-// metrics is the service's Prometheus registry — hand-rolled, since
-// the repo takes no dependencies: counters and histograms guarded by
-// one mutex (updates happen at job-lifecycle cadence, not per step),
-// gauges sampled at scrape time by the server.
-type metrics struct {
-	mu          sync.Mutex
-	submitted   uint64
-	rejected    uint64
-	deduped     uint64
-	completed   map[string]uint64 // terminal status → count
-	interrupted uint64
-	resumed     uint64
-	retries     uint64
-	duration    *histogram // job wall time, seconds
-	throughput  *histogram // retired steps per wall second
-
+// JobMetrics is the job-result metric family both planes export —
+// hand-rolled, since the repo takes no dependencies: admission and
+// completion counters, the adaptive-policy and energy totals, and
+// fixed-bucket histograms, under one mutex (updates happen at
+// job-lifecycle cadence, not per step).
+type JobMetrics struct {
+	mu        sync.Mutex
+	submitted uint64
+	rejected  uint64
+	deduped   uint64
+	completed map[string]uint64 // terminal status → count
+	resumed   uint64
+	retries   uint64
 	// Adaptive-policy counters, summed over terminal jobs run with the
 	// "adaptive" config (zero otherwise).
 	policyKept      uint64
@@ -31,61 +27,43 @@ type metrics struct {
 	policyTrialed   uint64
 	// Modeled energy in nanojoules by component, summed over successful
 	// terminal jobs.
-	energyNJ map[string]float64 // component → nJ
+	energyNJ   map[string]float64
+	duration   *histogram // job wall time, seconds
+	throughput *histogram // retired steps per wall second
 }
 
-func newMetrics() *metrics {
-	return &metrics{
+// NewJobMetrics returns an empty family.
+func NewJobMetrics() *JobMetrics {
+	return &JobMetrics{
 		completed: map[string]uint64{"ok": 0, "degraded": 0, "failed": 0},
+		energyNJ: map[string]float64{
+			"front_end": 0, "scalar": 0, "caches": 0, "neon": 0, "dsa": 0,
+		},
 		// Wall-time buckets: 1ms to ~2min in decades.
 		duration: newHistogram(0.001, 0.01, 0.1, 0.5, 1, 5, 15, 60, 120),
 		// Step-throughput buckets: 100k/s to 200M/s.
 		throughput: newHistogram(1e5, 1e6, 5e6, 1e7, 5e7, 1e8, 2e8),
-		energyNJ: map[string]float64{
-			"front_end": 0, "scalar": 0, "caches": 0, "neon": 0, "dsa": 0,
-		},
 	}
 }
 
-func (m *metrics) onSubmit() {
+func (m *JobMetrics) inc(field *uint64) {
 	m.mu.Lock()
-	m.submitted++
+	*field++
 	m.mu.Unlock()
 }
 
-func (m *metrics) onReject() {
-	m.mu.Lock()
-	m.rejected++
-	m.mu.Unlock()
-}
-
-func (m *metrics) onDedup() {
-	m.mu.Lock()
-	m.deduped++
-	m.mu.Unlock()
-}
-
-func (m *metrics) onInterrupt() {
-	m.mu.Lock()
-	m.interrupted++
-	m.mu.Unlock()
-}
-
-func (m *metrics) onResume() {
-	m.mu.Lock()
-	m.resumed++
-	m.mu.Unlock()
-}
-
-// onDone folds one terminal result into the counters and histograms.
-func (m *metrics) onDone(r ResultJSON, wall time.Duration) {
+// done folds one terminal result into the counters and histograms.
+func (m *JobMetrics) done(r ResultJSON) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.completed[r.Status]++
 	if r.Attempts > 1 {
 		m.retries += uint64(r.Attempts - 1)
 	}
-	sec := wall.Seconds()
+	if r.ResumedFromStep > 0 {
+		m.resumed++
+	}
+	sec := float64(r.WallNS) / 1e9
 	m.duration.observe(sec)
 	if sec > 0 && r.Steps > 0 {
 		m.throughput.observe(float64(r.Steps) / sec)
@@ -102,70 +80,44 @@ func (m *metrics) onDone(r ResultJSON, wall time.Duration) {
 	}
 }
 
-// gauges are point-in-time values the server samples at scrape.
-type gauges struct {
-	queueDepth    int
-	queueCapacity int
-	inflight      int64
-	memInUse      int64
-	memCapacity   int64
-}
-
-// render writes the whole registry in Prometheus text exposition
-// format (version 0.0.4), deterministically ordered.
-func (m *metrics) render(g gauges) string {
+// Render appends the family to b with every name under prefix
+// ("dsasimd_" for the standalone daemon, "dsasimd_cluster_" for the
+// coordinator).
+func (m *JobMetrics) Render(b *strings.Builder, prefix string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var b strings.Builder
+	WriteMetric(b, "counter", prefix+"jobs_submitted_total", "Jobs admitted.", m.submitted)
+	WriteMetric(b, "counter", prefix+"jobs_rejected_total", "Submissions refused with 429 (full) or 503 (draining).", m.rejected)
+	WriteMetric(b, "counter", prefix+"jobs_deduped_total", "Submissions replayed from an earlier job via Idempotency-Key.", m.deduped)
+	WriteSeries(b, "counter", prefix+"jobs_completed_total", "Jobs finished, by terminal status.", "status", m.completed)
+	WriteMetric(b, "counter", prefix+"jobs_resumed_total", "Terminal jobs whose run resumed from a checkpoint.", m.resumed)
+	WriteMetric(b, "counter", prefix+"job_retries_total", "Extra attempts across all jobs (degradation reruns included).", m.retries)
+	WriteMetric(b, "counter", prefix+"policy_takeovers_kept_total", "Adaptive-policy takeovers judged a win by the per-loop ledger.", m.policyKept)
+	WriteMetric(b, "counter", prefix+"policy_takeovers_suspended_total", "Adaptive-policy suspensions (loops benched after repeated losses).", m.policySuspended)
+	WriteMetric(b, "counter", prefix+"policy_takeovers_trialed_total", "Adaptive-policy trial entries granted to suspended loops.", m.policyTrialed)
+	WriteSeries(b, "counter", prefix+"energy_nanojoules_total", "Modeled energy over successful jobs, by component.", "component", m.energyNJ)
+	m.duration.render(b, prefix+"job_duration_seconds", "Terminal job wall time in seconds.")
+	m.throughput.render(b, prefix+"job_steps_per_second", "Retired simulation steps per wall second, per terminal job.")
+}
 
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+// WriteMetric appends one unlabeled series with its HELP and TYPE
+// lines in Prometheus text exposition format (version 0.0.4).
+func WriteMetric(b *strings.Builder, typ, name, help string, v any) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, v)
+}
+
+// WriteSeries appends one family with a series per label value, in
+// label order, so the exposition is deterministic.
+func WriteSeries[V any](b *strings.Builder, typ, name, help, label string, series map[string]V) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	keys := make([]string, 0, len(series))
+	for k := range series {
+		keys = append(keys, k)
 	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(b, "%s{%s=%q} %v\n", name, label, k, series[k])
 	}
-
-	gauge("dsasimd_queue_depth", "Jobs admitted and waiting for a worker.", int64(g.queueDepth))
-	gauge("dsasimd_queue_capacity", "Bounded queue capacity.", int64(g.queueCapacity))
-	gauge("dsasimd_jobs_inflight", "Jobs currently executing on the worker pool.", g.inflight)
-	gauge("dsasimd_mem_inflight_bytes", "In-flight memory budget occupancy.", g.memInUse)
-	gauge("dsasimd_mem_budget_bytes", "In-flight memory budget capacity (0 = unlimited).", g.memCapacity)
-
-	counter("dsasimd_jobs_submitted_total", "Jobs accepted into the queue.", m.submitted)
-	counter("dsasimd_jobs_rejected_total", "Submissions refused with 429 (queue full) or 503 (draining).", m.rejected)
-	counter("dsasimd_jobs_deduped_total", "Submissions replayed from an earlier job via Idempotency-Key.", m.deduped)
-
-	fmt.Fprintf(&b, "# HELP dsasimd_jobs_completed_total Jobs finished, by terminal status.\n# TYPE dsasimd_jobs_completed_total counter\n")
-	statuses := make([]string, 0, len(m.completed))
-	for s := range m.completed {
-		statuses = append(statuses, s)
-	}
-	sort.Strings(statuses)
-	for _, s := range statuses {
-		fmt.Fprintf(&b, "dsasimd_jobs_completed_total{status=%q} %d\n", s, m.completed[s])
-	}
-
-	counter("dsasimd_jobs_interrupted_total", "Jobs checkpointed and unwound by a drain.", m.interrupted)
-	counter("dsasimd_jobs_resumed_total", "Jobs restored from a checkpoint after a restart.", m.resumed)
-	counter("dsasimd_job_retries_total", "Extra attempts across all jobs (degradation reruns included).", m.retries)
-
-	counter("dsasimd_policy_takeovers_kept_total", "Adaptive-policy takeovers judged a win by the per-loop ledger.", m.policyKept)
-	counter("dsasimd_policy_takeovers_suspended_total", "Adaptive-policy suspensions (loops benched after repeated losses).", m.policySuspended)
-	counter("dsasimd_policy_takeovers_trialed_total", "Adaptive-policy trial entries granted to suspended loops.", m.policyTrialed)
-
-	fmt.Fprintf(&b, "# HELP dsasimd_energy_nanojoules_total Modeled energy over successful jobs, by component.\n# TYPE dsasimd_energy_nanojoules_total counter\n")
-	comps := make([]string, 0, len(m.energyNJ))
-	for c := range m.energyNJ {
-		comps = append(comps, c)
-	}
-	sort.Strings(comps)
-	for _, c := range comps {
-		fmt.Fprintf(&b, "dsasimd_energy_nanojoules_total{component=%q} %g\n", c, m.energyNJ[c])
-	}
-
-	m.duration.render(&b, "dsasimd_job_duration_seconds", "Terminal job wall time in seconds.")
-	m.throughput.render(&b, "dsasimd_job_steps_per_second", "Retired simulation steps per wall second, per terminal job.")
-	return b.String()
 }
 
 // histogram is a fixed-bucket Prometheus histogram.

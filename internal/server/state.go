@@ -9,80 +9,75 @@ import (
 	"repro/internal/snapshot"
 )
 
-// stateSection names the one section of the daemon's job-state file —
-// a snapshot-container file ("DSNP" magic, CRC-validated, written
-// atomically) whose payload is JSON: the surviving job table and the
-// ID counter. Per-job simulation state lives in the runner's own
-// checkpoint files; this file only records *which* jobs exist and
+// stateSection names the one section of the standalone daemon's state
+// file — a snapshot-container file ("DSNP" magic, CRC-validated,
+// written atomically) whose payload is JSON: the surviving job table
+// and the ID counter. Per-job simulation state lives in the runner's
+// own checkpoint files; this file only records *which* jobs exist and
 // where they stood, so a restarted daemon can re-queue and resume.
 const stateSection = "dsasimd.jobs"
 
-// persistedJob is one job's durable row.
-type persistedJob struct {
-	ID      string      `json:"id"`
-	Spec    JobSpec     `json:"spec"`
-	Status  string      `json:"status"`
-	IdemKey string      `json:"idem_key,omitempty"`
-	Queued  string      `json:"queued,omitempty"`
-	Result  *ResultJSON `json:"result,omitempty"`
+// State is the payload of the standalone daemon's state file.
+type State struct {
+	// NextID is the number of the next job ID to issue.
+	NextID uint64   `json:"next_id"`
+	Jobs   []JobRow `json:"jobs"`
 }
 
-// stateFile is the payload of the state section.
-type stateFile struct {
-	NextID int            `json:"next_id"`
-	Jobs   []persistedJob `json:"jobs"`
+// LoadState reads a standalone daemon's state file: nil, nil when
+// there is none, and see ReadState for a bad one.
+func LoadState(path string) (*State, error) {
+	var st State
+	if found, err := ReadState(path, stateSection, &st); !found {
+		return nil, err
+	}
+	return &st, nil
 }
 
-// saveState writes the daemon's job table crash-consistently. The
-// caller must hold s.mu.
-func (s *Server) saveStateLocked() error {
-	if s.cfg.StateFile == "" {
-		return nil
+// ReadState decodes one JSON section of the state file at path into v.
+// A missing file (or an empty path) is a fresh start: found is false
+// and err nil. A file that cannot be read, lacks the section or does
+// not decode is renamed aside to path+".bad" — never left for the next
+// save to overwrite — and reported; the daemon starts fresh.
+func ReadState(path, section string, v any) (found bool, err error) {
+	if path == "" {
+		return false, nil
 	}
-	st := stateFile{NextID: s.nextID}
-	for _, id := range s.order {
-		js := s.jobs[id]
-		st.Jobs = append(st.Jobs, persistedJob{
-			ID:      js.id,
-			Spec:    js.spec,
-			Status:  js.status,
-			IdemKey: js.idemKey,
-			Queued:  fmtTime(js.queued),
-			Result:  js.result,
-		})
+	rd, err := snapshot.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
 	}
-	payload, err := json.Marshal(st)
+	if err == nil {
+		var payload []byte
+		if payload, err = rd.Section(section); err == nil {
+			err = json.Unmarshal(payload, v)
+		}
+	}
+	if err != nil {
+		quarantine := path + ".bad"
+		_ = os.Rename(path, quarantine)
+		return false, fmt.Errorf("state file %s unreadable (%w); moved to %s, starting fresh", path, err, quarantine)
+	}
+	return true, nil
+}
+
+// WriteState writes v as the JSON section of a state file,
+// crash-consistently (temp file, fsync, rename). epoch stamps the
+// container header.
+func WriteState(path, section string, epoch uint64, v any) error {
+	payload, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	var w snapshot.Writer
-	w.Add(stateSection, payload)
-	return w.WriteFile(s.cfg.StateFile)
+	w := snapshot.Writer{Epoch: epoch}
+	w.Add(section, payload)
+	return w.WriteFile(path)
 }
 
-// loadState reads a previous daemon's job table. A missing file means
-// a fresh start; a corrupt or mismatched file is renamed aside (never
-// silently overwritten) and reported, also starting fresh.
-func loadState(path string) (*stateFile, error) {
-	if path == "" {
-		return nil, nil
+// saveLocked writes the daemon's job table. The caller must hold s.mu.
+func (s *Server) saveLocked() error {
+	if s.cfg.StateFile == "" {
+		return nil
 	}
-	rd, err := snapshot.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		quarantine := path + ".bad"
-		_ = os.Rename(path, quarantine)
-		return nil, fmt.Errorf("state file %s unreadable (%w); moved to %s, starting fresh", path, err, quarantine)
-	}
-	payload, err := rd.Section(stateSection)
-	if err != nil {
-		return nil, fmt.Errorf("state file %s: %w", path, err)
-	}
-	var st stateFile
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return nil, fmt.Errorf("state file %s: %w", path, err)
-	}
-	return &st, nil
+	return WriteState(s.cfg.StateFile, stateSection, 0, State{NextID: s.plane.Issued + 1, Jobs: s.plane.Rows()})
 }
