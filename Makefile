@@ -44,7 +44,8 @@ check: vet fmt allocs race
 
 # fuzz gives every fuzz target a short budget (CI smoke; run longer
 # locally when touching a decoder): the assembler, the job-submission
-# decode, and both daemons' state-file loaders. The checked-in corpora
+# decode, both daemons' state-file loaders, the snapshot container and
+# record stream, and the dsa snapshot sections. The checked-in corpora
 # under each package's testdata/fuzz start the runs warm; the
 # minimization cap keeps the budget on new inputs rather than on
 # shrinking the first interesting one.
@@ -52,18 +53,21 @@ fuzz:
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzSnapshotParse$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/dsa -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 10s -fuzzminimizetime 2s
 
 # verify runs the differential oracle over the whole workload suite.
 verify:
 	$(GO) run ./cmd/dsasim -verify
 
 # resume-oracle runs the interrupt/resume differential oracle on a
-# 3-workload subset (the full sweep runs with the regular test suite):
-# kill at a random step, resume from the snapshot, require bit-identical
+# 3-workload subset (the full sweep runs with the regular test suite),
+# plus the silent cidp-skew fault cases: kill at random steps (four
+# per DSA case), resume from the snapshot, require bit-identical
 # results. DSASIM_RESUME_SEED replays a failing kill point.
 resume-oracle:
 	DSASIM_RESUME_WORKLOADS=mm_32x32,str_prep,bit_count \
-		$(GO) test -race -run TestInterruptResumeOracle -v ./internal/experiments
+		$(GO) test -race -run 'TestInterruptResume(Oracle|Faulted)' -v ./internal/experiments
 
 # batch runs the whole workload x config matrix under the simulation
 # supervisor (concurrent, deadline-guarded, panic-isolated).

@@ -86,10 +86,11 @@ func buildDaemon(t *testing.T) string {
 
 // proc is one daemon child process with its stderr log captured.
 type proc struct {
-	cmd  *exec.Cmd
-	mu   sync.Mutex
-	log  []string
-	addr string // resolved listen address (coordinator only)
+	cmd     *exec.Cmd
+	mu      sync.Mutex
+	log     []string
+	addr    string        // resolved listen address (coordinator only)
+	drained chan struct{} // closed once the stderr reader reaches EOF
 }
 
 func (p *proc) logText() string {
@@ -104,7 +105,7 @@ func (p *proc) kill9() { _ = p.cmd.Process.Kill() }
 // when waitAddr is set, and keeps the pipe drained either way.
 func startProc(t *testing.T, bin string, waitAddr bool, args ...string) *proc {
 	t.Helper()
-	p := &proc{cmd: exec.Command(bin, args...)}
+	p := &proc{cmd: exec.Command(bin, args...), drained: make(chan struct{})}
 	stderr, err := p.cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +119,7 @@ func startProc(t *testing.T, bin string, waitAddr bool, args ...string) *proc {
 	})
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(p.drained)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -414,16 +416,17 @@ func parseMetric(t *testing.T, m, name string) int64 {
 	return 0
 }
 
+// waitExit waits for p to exit with its log fully read. Wait closes the
+// stderr pipe, so it runs only after the reader has seen EOF; called
+// earlier, it can drop the last lines (such as "bye") unread.
 func waitExit(t *testing.T, p *proc, timeout time.Duration) {
 	t.Helper()
-	done := make(chan error, 1)
-	go func() { done <- p.cmd.Wait() }()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("process exit: %v\n%s", err, p.logText())
-		}
+	case <-p.drained:
 	case <-time.After(timeout):
 		t.Fatalf("process did not exit; log:\n%s", p.logText())
+	}
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("process exit: %v\n%s", err, p.logText())
 	}
 }

@@ -9,15 +9,43 @@
 //
 // The package is split along the paper's structure:
 //
-//	config.go   — configuration, latency model, hardware caches
-//	track.go    — per-loop state machines and iteration collection
-//	cidp.go     — cross-iteration dependency prediction (Eq. 4.1–4.5)
-//	extract.go  — vectorizable-operation extraction (Fig. 25 analysis)
-//	plan.go     — SIMD instruction generation and leftover strategies
-//	engine.go   — the observer: drives the state machines
-//	system.go   — couples a cpu.Machine with the engine; performs
-//	              takeovers, conditional mapping/speculation and
-//	              sentinel speculative execution
+// Loop Detection and Data Collection
+//
+//	config.go      — configuration, latency model, DSA and verification caches
+//	engine.go      — the observer: drives the state machines, cache hits,
+//	                 stream rebasing and verdict bookkeeping
+//	track.go       — per-loop state machines; the record log and register
+//	                 files each decision consumes
+//	stats.go       — counters, their energy events and cache report
+//
+// Dependency Analysis
+//
+//	cidp.go        — memory patterns and cross-iteration dependency
+//	                 prediction (Eq. 4.1–4.5)
+//	memo.go        — CID verdict memo for cache-hit re-validation
+//
+// Store ID: extraction and the per-kind decisions
+//
+//	extract.go     — trip arithmetic and the analysis artifacts (Fig. 25)
+//	symbolic.go    — vectorizable-operation extraction into a payload DAG
+//	engine2.go     — trip derivation; count, function, dynamic-range and
+//	                 sentinel decisions
+//	engine3.go     — Mapping: conditional-loop path discovery and decision
+//
+// Execution
+//
+//	plan.go        — SIMD instruction generation, the NEON executor and
+//	                 leftover strategies
+//	system.go      — couples a cpu.Machine with the engine; performs
+//	                 takeovers, conditional mapping/speculation and
+//	                 sentinel speculative execution
+//	verify.go      — differential oracle over committed takeovers
+//	faultinject.go — fault-injection harness
+//
+// Persistence
+//
+//	persist.go     — snapshots; cached loops are restored by replaying
+//	                 their decision inputs
 package dsa
 
 import (
@@ -269,6 +297,16 @@ type CachedLoop struct {
 	// re-entries (see memo.go). Transient: snapshots do not persist it
 	// and a restored entry simply recomputes on its first hit.
 	memo cidMemo
+
+	// recs and regs are a vectorizable entry's decision inputs: every
+	// record its track consumed, and the register file at track open
+	// and at each iteration end. Snapshots store these instead of
+	// Analysis, and restore rebuilds Analysis by replaying them.
+	recs []StepRec
+	regs [][armlite.NumRegs]uint32
+	// skews counts the cidp-skew faults applied to Analysis in place
+	// (faultinject.go); restore re-applies them after the replay.
+	skews uint64
 }
 
 // NewDSACache builds the cache from a byte budget.

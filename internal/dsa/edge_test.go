@@ -523,11 +523,10 @@ endif:  add   r0, r0, #1
 	}
 }
 
-// TestConditionalGuardVecDisabled: with EnableGuardVec off, the mapped
-// mode must carry a cmp-guarded conditional correctly (byte lanes and
-// multi-instruction arms keep it above the profitability gate).
-func TestConditionalGuardVecDisabled(t *testing.T) {
-	src := `
+// mappedConditionalSrc is a cmp-guarded conditional whose byte lanes
+// and multi-instruction arms keep the mapped mode above its
+// profitability gate.
+const mappedConditionalSrc = `
         mov   r5, #0x1000
         mov   r2, #0x3000
         mov   r0, #0
@@ -547,14 +546,20 @@ endif:  add   r0, r0, #1
         blt   loop
         halt
 `
-	prog := asm.MustAssemble("gvoff", src)
-	setup := func(m *cpu.Machine) {
-		vals := make([]byte, 176)
-		for i := range vals {
-			vals[i] = byte(i*5 + 2)
-		}
-		m.Mem.WriteBytes(0x1000, vals)
+
+func seedMappedConditional(m *cpu.Machine) {
+	vals := make([]byte, 176)
+	for i := range vals {
+		vals[i] = byte(i*5 + 2)
 	}
+	m.Mem.WriteBytes(0x1000, vals)
+}
+
+// TestConditionalGuardVecDisabled: with EnableGuardVec off, the mapped
+// mode must carry a cmp-guarded conditional correctly.
+func TestConditionalGuardVecDisabled(t *testing.T) {
+	prog := asm.MustAssemble("gvoff", mappedConditionalSrc)
+	setup := seedMappedConditional
 	ref := runScalar(t, prog, setup)
 	cfg := DefaultConfig()
 	cfg.EnableGuardVec = false

@@ -155,7 +155,8 @@ func (e *Engine) ReleaseRequest(r *Request) {
 	e.reqFree = append(e.reqFree, r)
 }
 
-// takeTrack recycles a decided track (or allocates a fresh one).
+// takeTrack opens a track on the live register file, recycling a
+// decided track (or allocating a fresh one).
 func (e *Engine) takeTrack(id, branchPC int) *track {
 	var t *track
 	if n := len(e.free); n > 0 {
@@ -165,6 +166,7 @@ func (e *Engine) takeTrack(id, branchPC int) *track {
 	} else {
 		t = newTrack(id, branchPC)
 	}
+	t.regs = append(t.regs, e.m.R)
 	if e.policy != nil {
 		// Mark the end of iteration 1: iteration 2's tick and energy
 		// deltas sample the loop's own scalar per-iteration cost.
@@ -286,9 +288,7 @@ func (e *Engine) detectLoop(id, branchPC int) {
 	if e.policy != nil && e.policyEntry(id) == policy.Deny {
 		return
 	}
-	t := e.takeTrack(id, branchPC)
-	t.snapCur = e.m.R
-	e.live = append(e.live, t)
+	e.live = append(e.live, e.takeTrack(id, branchPC))
 }
 
 // onCacheHit handles a previously verified loop: re-raise its
@@ -320,7 +320,6 @@ func (e *Engine) onCacheHit(c *CachedLoop, branchPC int) {
 		c.LimitValue = limitNow
 		t := e.takeTrack(c.LoopID, branchPC)
 		t.kind = KindDynamicRange
-		t.snapCur = e.m.R
 		e.live = append(e.live, t)
 		e.stats.AnalysisTicks += e.cfg.Latencies.PartialReanalysis
 		return
@@ -328,9 +327,7 @@ func (e *Engine) onCacheHit(c *CachedLoop, branchPC int) {
 	if !e.rebase(a) {
 		// Cannot recompute stream bases from the register file;
 		// re-analyze from scratch.
-		t := e.takeTrack(c.LoopID, branchPC)
-		t.snapCur = e.m.R
-		e.live = append(e.live, t)
+		e.live = append(e.live, e.takeTrack(c.LoopID, branchPC))
 		return
 	}
 	switch a.Kind {
@@ -529,6 +526,18 @@ func (e *Engine) finalize(t *track) {
 	e.recordVerdict(t, false)
 }
 
+// cacheVerdict inserts the DSA-cache entry for t's vectorizable
+// verdict. The entry takes the track's decision inputs (its record log
+// and register files) for snapshots; the pooled track starts new ones.
+func (e *Engine) cacheVerdict(t *track, entry *CachedLoop) {
+	entry.recs, entry.regs = t.log, t.regs
+	t.log, t.regs = nil, nil
+	e.Cache.Insert(entry)
+	e.stats.DSACacheAccesses++
+	e.stats.AnalysisTicks += e.cfg.Latencies.DSACacheAccess
+	e.recordVerdict(t, true)
+}
+
 // recordVerdict updates the census and (for definitive rejections)
 // the DSA cache.
 func (e *Engine) recordVerdict(t *track, vectorizable bool) {
@@ -600,11 +609,11 @@ func (e *Engine) endIteration(t *track) {
 	e.stats.StateTransitions++
 
 	// Register snapshots and cumulative delta verification.
-	t.snapPrev = t.snapCur
-	t.snapCur = e.m.R
+	t.regs = append(t.regs, e.m.R)
 	if t.iter >= 2 {
+		prev, cur := &t.regs[len(t.regs)-2], &t.regs[len(t.regs)-1]
 		for r := 0; r < armlite.NumRegs; r++ {
-			d := int64(int32(t.snapCur[r] - t.snapPrev[r]))
+			d := int64(int32(cur[r] - prev[r]))
 			if t.iter == 2 {
 				t.delta[r] = d
 				t.deltaOK[r] = true
@@ -640,11 +649,11 @@ func (e *Engine) endIteration(t *track) {
 func (e *Engine) dataCollection(t *track) {
 	t.stage = stCollected
 	e.stats.StateTransitions++
-	t.it2 = append(t.it2[:0], t.cur...)
 
 	e.VCache.Reset()
-	for i := range t.cur {
-		r := &t.cur[i]
+	cur := t.cur()
+	for i := range cur {
+		r := &cur[i]
 		if !r.HasMem {
 			continue
 		}
@@ -668,7 +677,6 @@ func (e *Engine) dataCollection(t *track) {
 // extract the payload and decide.
 func (e *Engine) dependencyAnalysis(t *track) {
 	e.stats.StateTransitions++
-	t.it3 = append(t.it3[:0], t.cur...)
 	if t.exitSeen || e.deriveTrip(t) == nil {
 		// Data-dependent exit: sentinel path.
 		e.decideSentinel(t)

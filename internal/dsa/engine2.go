@@ -13,10 +13,7 @@ func (e *Engine) deriveTrip(t *track) *TripInfo {
 	if t.trip != nil {
 		return t.trip
 	}
-	recs := t.cur
-	if len(t.it3) > 0 {
-		recs = t.it3
-	}
+	recs := t.cur()
 	if len(recs) < 2 {
 		return nil
 	}
@@ -108,7 +105,7 @@ func (t *track) tripLimitValue() uint32 {
 	if t.trip.LimitIsImm {
 		return uint32(t.trip.LimitImm)
 	}
-	return t.snapCur[t.trip.LimitReg]
+	return t.lastRegs()[t.trip.LimitReg]
 }
 
 // buildPatterns pairs the memory observations of two iterations into
@@ -229,14 +226,15 @@ func (e *Engine) decideSimple(t *track) {
 		fail("trip-underivable")
 		return
 	}
-	rem, ok := trip.Remaining(t.snapCur[trip.CounterReg], t.tripLimitValue())
+	rem, ok := trip.Remaining(t.lastRegs()[trip.CounterReg], t.tripLimitValue())
 	if !ok {
 		fail("trip-underivable")
 		return
 	}
 	n := 3 + rem
 
-	patterns, patIdx, err := e.buildPatterns(t, t.it3, 2, 3)
+	it3 := t.cur()
+	patterns, patIdx, err := e.buildPatterns(t, it3, 2, 3)
 	if err != nil {
 		fail(reasonOf(err))
 		return
@@ -253,9 +251,9 @@ func (e *Engine) decideSimple(t *track) {
 		partial = true
 	}
 
-	env := e.buildRegEnv(t, t.it3)
-	structural := t.structuralPCs(env, t.it3)
-	dag, dt, err := extractPayload(t.it3, env, patterns, patIdx, structural)
+	env := e.buildRegEnv(t, it3)
+	structural := t.structuralPCs(env, it3)
+	dag, dt, err := extractPayload(it3, env, patterns, patIdx, structural)
 	if err != nil {
 		fail(reasonOf(err))
 		return
@@ -297,10 +295,7 @@ func (e *Engine) decideSimple(t *track) {
 		LimitValue:   t.tripLimitValue(),
 		LimitIsImm:   trip.LimitIsImm,
 	}
-	e.Cache.Insert(entry)
-	e.stats.DSACacheAccesses++
-	e.stats.AnalysisTicks += e.cfg.Latencies.DSACacheAccess
-	e.recordVerdict(t, true)
+	e.cacheVerdict(t, entry)
 
 	// Profitability guard: switching to the NEON engine costs a
 	// pipeline flush, so the remaining window must cover at least two
@@ -351,7 +346,8 @@ func (e *Engine) decideSentinel(t *track) {
 		return
 	}
 
-	patterns, patIdx, err := e.buildPatterns(t, t.it3, 2, 3)
+	it3 := t.cur()
+	patterns, patIdx, err := e.buildPatterns(t, it3, 2, 3)
 	if err != nil {
 		fail(reasonOf(err))
 		return
@@ -374,12 +370,12 @@ func (e *Engine) decideSentinel(t *track) {
 			delete(structural, p.PC)
 		}
 	}
-	env := e.buildRegEnv(t, t.it3)
+	env := e.buildRegEnv(t, it3)
 	// Induction updates and the back-branch are structural too.
-	for pc := range t.structuralPCs(env, t.it3) {
+	for pc := range t.structuralPCs(env, it3) {
 		structural[pc] = true
 	}
-	dag, dt, err := extractPayload(t.it3, env, patterns, patIdx, structural)
+	dag, dt, err := extractPayload(it3, env, patterns, patIdx, structural)
 	if err != nil {
 		fail(reasonOf(err))
 		return
@@ -446,10 +442,7 @@ func (e *Engine) decideSentinel(t *track) {
 	t.analysis = a
 
 	entry := &CachedLoop{LoopID: t.id, Kind: KindSentinel, Vectorizable: true, Analysis: a}
-	e.Cache.Insert(entry)
-	e.stats.DSACacheAccesses++
-	e.stats.AnalysisTicks += e.cfg.Latencies.DSACacheAccess
-	e.recordVerdict(t, true)
+	e.cacheVerdict(t, entry)
 
 	if e.pending == nil {
 		e.pending = e.newRequest(Request{Kind: ReqSentinel, Analysis: a, StartIter: 4, SpecRange: spec, Cached: entry})

@@ -12,12 +12,10 @@ const maxMappingIters = 40
 // signature (the paper's condition indexing by instruction address,
 // §4.6.4.1, generalized to executed-PC signatures).
 func (e *Engine) recordPath(t *track) {
-	sig, pcs := t.signature()
+	sig := t.signature()
 	p := t.paths[sig]
 	if p == nil {
-		p = &pathInfo{sig: sig, pcs: pcs, firstIt: t.iter}
-		p.recsA = append([]StepRec(nil), t.cur...)
-		t.paths[sig] = p
+		t.paths[sig] = &pathInfo{firstIt: t.iter, lo: t.curStart, hi: len(t.log)}
 		return
 	}
 	if p.secondIt == 0 {
@@ -155,7 +153,7 @@ func (e *Engine) decideConditional(t *track) {
 	}
 	seqs := make([][]int, len(paths))
 	for i, p := range paths {
-		seqs[i] = bodySeq(t, p.recsA)
+		seqs[i] = bodySeq(t, t.log[p.lo:p.hi])
 	}
 	nPrefix, nSuffix := commonPrefixSuffix(seqs)
 	if nPrefix == 0 {
@@ -163,9 +161,9 @@ func (e *Engine) decideConditional(t *track) {
 		return
 	}
 
-	env := e.buildRegEnv(t, t.cur)
+	env := e.buildRegEnv(t, t.cur())
 	trip := t.trip
-	rem, ok := trip.Remaining(t.snapCur[trip.CounterReg], t.tripLimitValue())
+	rem, ok := trip.Remaining(t.lastRegs()[trip.CounterReg], t.tripLimitValue())
 	if !ok {
 		fail("trip-underivable")
 		return
@@ -174,7 +172,7 @@ func (e *Engine) decideConditional(t *track) {
 
 	// Header flag-setters and branches are structural (guards); the
 	// trip compare and induction updates too.
-	structural := t.structuralPCs(env, t.cur)
+	structural := t.structuralPCs(env, t.cur())
 
 	var (
 		allPatterns []MemPattern
@@ -213,8 +211,7 @@ func (e *Engine) decideConditional(t *track) {
 		bodyIdx := 0
 		middlePCs := make(map[int]bool)
 		guardPCs := make(map[int]bool)
-		for i := range p.recsA {
-			r := p.recsA[i]
+		for _, r := range t.log[p.lo:p.hi] {
 			if !t.inBody(r.PC) {
 				fail("record-outside-body")
 				return
@@ -433,10 +430,7 @@ func (e *Engine) decideConditional(t *track) {
 		LimitValue:   t.tripLimitValue(),
 		LimitIsImm:   trip.LimitIsImm,
 	}
-	e.Cache.Insert(entry)
-	e.stats.DSACacheAccesses++
-	e.stats.AnalysisTicks += e.cfg.Latencies.DSACacheAccess
-	e.recordVerdict(t, true)
+	e.cacheVerdict(t, entry)
 
 	if n-t.iter < a.Lanes() {
 		e.policyLoss(t.id) // analysis paid, nothing taken over
@@ -454,8 +448,9 @@ func (e *Engine) buildPathPatterns(t *track, p *pathInfo, middlePCs map[int]bool
 	var patterns []MemPattern
 	patIdx := make(map[memKey]int)
 	occ := make(map[int]int)
-	for i := range p.recsA {
-		r := &p.recsA[i]
+	recs := t.log[p.lo:p.hi]
+	for i := range recs {
+		r := &recs[i]
 		if !r.HasMem {
 			continue
 		}

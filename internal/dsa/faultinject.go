@@ -132,16 +132,8 @@ func (f *FaultInjector) Arm(req *Request) string {
 			}
 		})
 	case FaultSkewCIDP:
-		forEachPatternTable(req.Analysis, func(pats []MemPattern) {
-			for i := range pats {
-				p := &pats[i]
-				if p.Stride == 0 {
-					continue
-				}
-				p.Stride += int64(p.Size)
-				p.AddrB = uint32(int64(p.AddrA) + p.Stride*int64(p.RefIterB-p.RefIterA))
-			}
-		})
+		skewStrides(req.Analysis, 1)
+		req.Cached.skews++
 		// A skewed predictor no longer supports the dependency-window
 		// legality argument; take the plain path so the skew expresses
 		// itself as wrong addresses, not a window-math crash.
@@ -152,6 +144,33 @@ func (f *FaultInjector) Arm(req *Request) string {
 		f.errOnce = true
 	}
 	return f.label
+}
+
+// skewStrides applies n cidp-skew faults to a's pattern tables: each
+// fault grows every nonzero stride by one element, and a stride that
+// reaches zero stays there. A table aliased by several visits (a guard
+// or arm sharing its path's table) grows once per visit, as it does
+// when the faults fire one at a time.
+func skewStrides(a *Analysis, n uint64) {
+	forEachPatternTable(a, func(pats []MemPattern) {
+		for i := range pats {
+			p := &pats[i]
+			if p.Stride == 0 {
+				continue
+			}
+			p.Stride = skewedStride(p.Stride, int64(p.Size), int64(n))
+			p.AddrB = uint32(int64(p.AddrA) + p.Stride*int64(p.RefIterB-p.RefIterA))
+		}
+	})
+}
+
+// skewedStride is a nonzero stride after n steps of "grow by size
+// unless zero".
+func skewedStride(stride, size, n int64) int64 {
+	if stride < 0 && size > 0 && -stride%size == 0 && -stride/size <= n {
+		return 0
+	}
+	return stride + n*size
 }
 
 // forEachPatternTable visits every pattern table a takeover can

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/armlite"
+	"repro/internal/cpu"
 	"repro/internal/snapshot"
 )
 
@@ -121,17 +122,9 @@ func (s *System) RestoreState(r *snapshot.Reader) error {
 		return err
 	}
 
-	ca, err := dsaSection(r, secCache)
-	if err != nil {
-		return err
-	}
-	if err := decodeDSACache(ca, e.Cache); err != nil {
-		return err
-	}
-	if err := ca.Done(); err != nil {
-		return err
-	}
-
+	// Faults before the cache: the faults fired bound the cidp-skew
+	// faults its entries may claim.
+	var maxSkews uint64
 	if s.faults != nil {
 		fa, err := dsaSection(r, secFaults)
 		if err != nil {
@@ -143,8 +136,22 @@ func (s *System) RestoreState(r *snapshot.Reader) error {
 		if err := fa.Done(); err != nil {
 			return err
 		}
+		if e.cfg.Fault.Kind == FaultSkewCIDP {
+			maxSkews = s.faults.Fired
+		}
 	} else if r.Has(secFaults) {
 		return fmt.Errorf("%w: snapshot from a fault-injection run restored without fault config", snapshot.ErrMismatch)
+	}
+
+	ca, err := dsaSection(r, secCache)
+	if err != nil {
+		return err
+	}
+	if err := decodeDSACache(ca, e, s.M.Prog, maxSkews); err != nil {
+		return err
+	}
+	if err := ca.Done(); err != nil {
+		return err
 	}
 
 	if e.policy != nil {
@@ -338,704 +345,194 @@ func encodeDSACache(e *snapshot.Enc, c *DSACache) {
 	}
 }
 
-func decodeDSACache(d *snapshot.Dec, c *DSACache) error {
+// decodeDSACache rebuilds the cache from its entries. The entries may
+// claim at most maxSkews cidp-skew faults between them.
+func decodeDSACache(d *snapshot.Dec, e *Engine, prog *armlite.Program, maxSkews uint64) error {
+	c := e.Cache
 	n := int(d.U32())
+	if d.Err() != nil {
+		return d.Err()
+	}
 	if n > c.capacity {
-		return fmt.Errorf("%w: %d cached loops, cache holds %d", snapshot.ErrMismatch, n, c.capacity)
+		return fmt.Errorf("%w: %d cached loops, cache holds %d", snapshot.ErrCorrupt, n, c.capacity)
 	}
 	c.entries = make(map[int]*CachedLoop, n)
 	c.order = nil
 	for i := 0; i < n; i++ {
-		cl, err := decodeCachedLoop(d)
+		cl, err := decodeCachedLoop(d, prog, e.cfg)
 		if err != nil {
 			return err
 		}
 		if _, dup := c.entries[cl.LoopID]; dup {
 			return fmt.Errorf("%w: duplicate cached loop %d", snapshot.ErrCorrupt, cl.LoopID)
 		}
+		if cl.skews > maxSkews {
+			return fmt.Errorf("%w: cached loop %d claims more cidp-skew faults than fired", snapshot.ErrCorrupt, cl.LoopID)
+		}
+		maxSkews -= cl.skews
 		c.Insert(cl)
 	}
 	return d.Err()
 }
 
+// A vectorizable entry is stored as its decision inputs (the records
+// and register files its track consumed) plus the scalars that change
+// after the verdict. Restore rebuilds Analysis by replaying the inputs
+// through the same track and decide code that built it live, so no
+// derived structure is ever encoded.
 func encodeCachedLoop(e *snapshot.Enc, cl *CachedLoop) {
 	e.Int(cl.LoopID)
 	e.Int(int(cl.Kind))
 	e.Bool(cl.Vectorizable)
-	e.Str(cl.Reason)
-	e.Int(cl.SentinelRange)
-	e.U32(cl.LimitValue)
-	e.Bool(cl.LimitIsImm)
-	e.Bool(cl.Analysis != nil)
-	if cl.Analysis != nil {
-		encodeAnalysis(e, cl.Analysis)
-	}
-}
-
-func decodeCachedLoop(d *snapshot.Dec) (*CachedLoop, error) {
-	cl := &CachedLoop{
-		LoopID:       d.Int(),
-		Kind:         LoopKind(d.Int()),
-		Vectorizable: d.Bool(),
-		Reason:       d.Str(),
-	}
-	cl.SentinelRange = d.Int()
-	cl.LimitValue = d.U32()
-	cl.LimitIsImm = d.Bool()
-	if d.Bool() {
-		a, err := decodeAnalysis(d)
-		if err != nil {
-			return nil, err
-		}
-		cl.Analysis = a
-	}
-	return cl, d.Err()
-}
-
-// --- analysis: node table, DAGs, plans ---
-
-// nodeTable assigns dense indices to every payload-DAG node reachable
-// from an Analysis, deduplicating shared nodes (the sentinel RegOut
-// map and the guard-compare operands point into their DAGs' node
-// lists) and registering operands before users so decode can resolve
-// A/B references in one pass.
-type nodeTable struct {
-	idx   map[*Node]int
-	nodes []*Node
-}
-
-func (nt *nodeTable) add(n *Node) int {
-	if n == nil {
-		return -1
-	}
-	if i, ok := nt.idx[n]; ok {
-		return i
-	}
-	nt.add(n.A)
-	nt.add(n.B)
-	i := len(nt.nodes)
-	nt.idx[n] = i
-	nt.nodes = append(nt.nodes, n)
-	return i
-}
-
-func (nt *nodeTable) addDAG(dag *PayloadDAG) {
-	if dag == nil {
+	if !cl.Vectorizable {
+		e.Str(cl.Reason)
 		return
 	}
-	for _, n := range dag.Nodes {
-		nt.add(n)
-	}
-	for i := range dag.Stores {
-		nt.add(dag.Stores[i].Value)
-	}
-}
-
-// guardDAG reconstructs the guard payload DAG from the guard plan
-// (which retains the DAG's node and store lists).
-func guardDAG(v *CondVec) *PayloadDAG {
-	return &PayloadDAG{Nodes: v.GuardPlan.nodes, Stores: v.GuardPlan.stores}
-}
-
-// armPathIndex finds which conditional path an arm's plan was built
-// from, by node-list identity — CondArm shares its DAG and pattern
-// table with the path, and that sharing must survive a round trip
-// (cache-hit rebasing mutates the path's patterns in place and the
-// arm must observe it).
-func armPathIndex(c *CondAnalysis, arm *CondArm) int {
-	if arm == nil {
-		return -1
-	}
-	for i := range c.Paths {
-		p := &c.Paths[i]
-		if p.Payload != nil && len(p.Payload.Nodes) > 0 && len(arm.Plan.nodes) > 0 &&
-			&p.Payload.Nodes[0] == &arm.Plan.nodes[0] {
-			return i
-		}
-	}
-	return -1
-}
-
-// guardPatternsPath finds the conditional path whose pattern table
-// backs v.GuardPatterns (tryGuardVectorization reuses the first
-// analyzed path's table), or -1 when the guard table is independent.
-func guardPatternsPath(c *CondAnalysis, v *CondVec) int {
-	if len(v.GuardPatterns) == 0 {
-		return -1
-	}
-	for i := range c.Paths {
-		p := &c.Paths[i]
-		if len(p.patterns) == len(v.GuardPatterns) && &p.patterns[0] == &v.GuardPatterns[0] {
-			return i
-		}
-	}
-	return -1
-}
-
-func encodeAnalysis(e *snapshot.Enc, a *Analysis) {
-	nt := &nodeTable{idx: make(map[*Node]int)}
-	nt.addDAG(a.Payload)
-	if a.Sent != nil {
-		nt.addDAG(a.Sent.Payload)
-		for _, n := range a.Sent.RegOut {
-			nt.add(n)
-		}
-	}
-	if a.Cond != nil {
-		for i := range a.Cond.Paths {
-			nt.addDAG(a.Cond.Paths[i].Payload)
-		}
-		if v := a.Cond.Vec; v != nil {
-			nt.addDAG(guardDAG(v))
-			nt.add(v.A)
-			nt.add(v.B)
-		}
-	}
-
-	e.U32(uint32(len(nt.nodes)))
-	for _, n := range nt.nodes {
-		e.U8(uint8(n.Kind))
-		e.Int(n.Pattern)
-		e.U8(uint8(n.Reg))
-		e.U32(uint32(n.Imm))
-		e.U8(uint8(n.Op))
-		e.Int(nodeRef(nt, n.A)) // operands registered before users
-		e.Int(nodeRef(nt, n.B))
-	}
-
-	e.Int(a.LoopID)
+	a := cl.Analysis
 	e.Int(a.BranchPC)
-	e.Int(int(a.Kind))
-	encodeTrip(e, &a.Trip)
-	encodeInduction(e, a.Induction)
-	encodePatterns(e, a.Patterns)
-	e.U8(uint8(a.ElemDT))
-	encodeDAGRef(e, nt, a.Payload)
+	e.U32(uint32(len(cl.regs)))
+	for i := range cl.regs {
+		for _, v := range cl.regs[i] {
+			e.U32(v)
+		}
+	}
+	e.U32(uint32(len(cl.recs)))
+	for i := range cl.recs {
+		encodeStepRec(e, &cl.recs[i])
+	}
+
+	e.U32(cl.LimitValue)
+	e.Int(cl.SentinelRange)
 	e.Bool(a.CID.HasCID)
 	e.Int(a.CID.ConflictIter)
 	e.Int(a.CID.Distance)
 	e.Int(a.CID.Compares)
 	e.Bool(a.Partial)
-
-	e.Bool(a.Cond != nil)
-	if c := a.Cond; c != nil {
-		encodePCSet(e, c.ActionPCs)
-		e.Int(c.StoreSlots)
-		e.U32(uint32(len(c.Paths)))
-		for i := range c.Paths {
-			p := &c.Paths[i]
-			e.Int(p.ID)
-			encodePCSet(e, p.PCs)
-			encodeDAGRef(e, nt, p.Payload)
-			encodePatterns(e, p.patterns)
-		}
-		e.Bool(c.Vec != nil)
-		if v := c.Vec; v != nil {
-			encodeDAGRef(e, nt, guardDAG(v))
-			// GuardPatterns aliases the first analyzed path's pattern
-			// table (tryGuardVectorization passes that table through),
-			// and rebase updates guard stream bases *via* that sharing.
-			// Encode the alias as a path index so restore reproduces
-			// the same backing array; a copy here would freeze the
-			// guard's addresses at snapshot time.
-			e.Int(guardPatternsPath(c, v))
-			if guardPatternsPath(c, v) == -1 {
-				encodePatterns(e, v.GuardPatterns)
-			}
-			e.Int(nodeRef(nt, v.A))
-			e.Int(nodeRef(nt, v.B))
-			e.U8(uint8(v.Cond))
-			e.Bool(v.Float)
-			e.Bool(v.Unsigned)
-			e.Int(armPathIndex(c, v.Taken))
-			e.Int(armPathIndex(c, v.Fall))
-		}
-	}
-
-	e.Bool(a.Sent != nil)
-	if sn := a.Sent; sn != nil {
-		encodePCSet(e, sn.StopPCs)
-		encodePCSet(e, sn.ActionPCs)
-		e.Int(sn.ExitPC)
-		// Sent.Payload aliases Analysis.Payload today; the flag keeps
-		// the format honest if that ever changes.
-		e.Bool(sn.Payload == a.Payload)
-		if sn.Payload != a.Payload {
-			encodeDAGRef(e, nt, sn.Payload)
-		}
-		regs := make([]int, 0, len(sn.RegOut))
-		for r := range sn.RegOut {
-			regs = append(regs, int(r))
-		}
-		sort.Ints(regs)
-		e.U32(uint32(len(regs)))
-		for _, r := range regs {
-			e.U8(uint8(r))
-			e.Int(nodeRef(nt, sn.RegOut[armlite.Reg(r)]))
-		}
-	}
+	e.U64(cl.skews)
 }
 
-func nodeRef(nt *nodeTable, n *Node) int {
-	if n == nil {
-		return -1
-	}
-	return nt.idx[n]
-}
-
-func decodeAnalysis(d *snapshot.Dec) (*Analysis, error) {
-	nNodes := int(d.U32())
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if nNodes > 1<<20 {
-		return nil, fmt.Errorf("%w: %d payload nodes claimed", snapshot.ErrCorrupt, nNodes)
-	}
-	nodes := make([]*Node, nNodes)
-	for i := range nodes {
-		n := &Node{
-			Kind:    NodeKind(d.U8()),
-			Pattern: d.Int(),
-			Reg:     armlite.Reg(d.U8()),
-			Imm:     int32(d.U32()),
-			Op:      armlite.Op(d.U8()),
-		}
-		var err error
-		if n.A, err = resolveNode(d, nodes, i); err != nil {
-			return nil, err
-		}
-		if n.B, err = resolveNode(d, nodes, i); err != nil {
-			return nil, err
-		}
-		nodes[i] = n
-	}
-
-	a := &Analysis{
-		LoopID:   d.Int(),
-		BranchPC: d.Int(),
-		Kind:     LoopKind(d.Int()),
-	}
-	if err := decodeTrip(d, &a.Trip); err != nil {
-		return nil, err
-	}
-	var err error
-	if a.Induction, err = decodeInduction(d); err != nil {
-		return nil, err
-	}
-	if a.Patterns, err = decodePatterns(d); err != nil {
-		return nil, err
-	}
-	a.ElemDT = armlite.DataType(d.U8())
-	if a.Payload, err = decodeDAGRef(d, nodes); err != nil {
-		return nil, err
-	}
-	a.CID.HasCID = d.Bool()
-	a.CID.ConflictIter = d.Int()
-	a.CID.Distance = d.Int()
-	a.CID.Compares = d.Int()
-	a.Partial = d.Bool()
-
-	var gdag *PayloadDAG
-	takenPath, fallPath := -1, -1
-	if d.Bool() { // Cond
-		c := &CondAnalysis{}
-		if c.ActionPCs, err = decodePCSet(d); err != nil {
-			return nil, err
-		}
-		c.StoreSlots = d.Int()
-		nPaths := int(d.U32())
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if nPaths > 1<<16 {
-			return nil, fmt.Errorf("%w: %d conditional paths claimed", snapshot.ErrCorrupt, nPaths)
-		}
-		c.Paths = make([]CondPath, nPaths)
-		for i := range c.Paths {
-			p := &c.Paths[i]
-			p.ID = d.Int()
-			if p.PCs, err = decodePCSet(d); err != nil {
-				return nil, err
-			}
-			if p.Payload, err = decodeDAGRef(d, nodes); err != nil {
-				return nil, err
-			}
-			if p.patterns, err = decodePatterns(d); err != nil {
-				return nil, err
-			}
-		}
-		if d.Bool() { // Vec
-			v := &CondVec{}
-			if gdag, err = decodeDAGRef(d, nodes); err != nil {
-				return nil, err
-			}
-			if gi := d.Int(); gi >= 0 {
-				if gi >= len(c.Paths) || len(c.Paths[gi].patterns) == 0 {
-					return nil, fmt.Errorf("%w: guard patterns alias path %d", snapshot.ErrCorrupt, gi)
-				}
-				v.GuardPatterns = c.Paths[gi].patterns
-			} else if v.GuardPatterns, err = decodePatterns(d); err != nil {
-				return nil, err
-			}
-			if v.A, err = lookupNode(d, nodes); err != nil {
-				return nil, err
-			}
-			if v.B, err = lookupNode(d, nodes); err != nil {
-				return nil, err
-			}
-			v.Cond = armlite.Cond(d.U8())
-			v.Float = d.Bool()
-			v.Unsigned = d.Bool()
-			takenPath = d.Int()
-			fallPath = d.Int()
-			if err := pathInRange(takenPath, nPaths); err != nil {
-				return nil, err
-			}
-			if err := pathInRange(fallPath, nPaths); err != nil {
-				return nil, err
-			}
-			c.Vec = v
-		}
-		a.Cond = c
-	}
-
-	if d.Bool() { // Sent
-		sn := &SentAnalysis{}
-		if sn.StopPCs, err = decodePCSet(d); err != nil {
-			return nil, err
-		}
-		if sn.ActionPCs, err = decodePCSet(d); err != nil {
-			return nil, err
-		}
-		sn.ExitPC = d.Int()
-		if d.Bool() {
-			sn.Payload = a.Payload
-		} else if sn.Payload, err = decodeDAGRef(d, nodes); err != nil {
-			return nil, err
-		}
-		sn.RegOut = make(map[armlite.Reg]*Node)
-		nOut := int(d.U32())
-		for i := 0; i < nOut && d.Err() == nil; i++ {
-			r := armlite.Reg(d.U8())
-			n, err := lookupNode(d, nodes)
-			if err != nil {
-				return nil, err
-			}
-			sn.RegOut[r] = n
-		}
-		a.Sent = sn
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if err := rebuildPlans(a, gdag, takenPath, fallPath); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-func resolveNode(d *snapshot.Dec, nodes []*Node, before int) (*Node, error) {
-	i := d.Int()
-	if i == -1 {
-		return nil, nil
-	}
-	if i < 0 || i >= before {
-		return nil, fmt.Errorf("%w: node operand reference %d (must precede node %d)", snapshot.ErrCorrupt, i, before)
-	}
-	return nodes[i], nil
-}
-
-func lookupNode(d *snapshot.Dec, nodes []*Node) (*Node, error) {
-	i := d.Int()
-	if i == -1 {
-		return nil, nil
-	}
-	if i < 0 || i >= len(nodes) {
-		return nil, fmt.Errorf("%w: node reference %d of %d", snapshot.ErrCorrupt, i, len(nodes))
-	}
-	return nodes[i], nil
-}
-
-func pathInRange(i, n int) error {
-	if i < -1 || i >= n {
-		return fmt.Errorf("%w: conditional arm path %d of %d", snapshot.ErrCorrupt, i, n)
-	}
-	return nil
-}
-
-// rebuildPlans regenerates every SIMD plan from the decoded DAGs.
-// Plans are deterministic functions of (DAG, patterns, element type,
-// base register) — see BuildPlanAt — so rebuilding them reproduces the
-// original register assignment exactly, and the snapshot never has to
-// serialize planner internals.
-func rebuildPlans(a *Analysis, gdag *PayloadDAG, takenPath, fallPath int) error {
-	if a.Cond != nil {
-		for i := range a.Cond.Paths {
-			p := &a.Cond.Paths[i]
-			if p.Payload == nil {
-				continue
-			}
-			if err := checkDAG(p.Payload, len(p.patterns)); err != nil {
-				return err
-			}
-			plan, err := BuildPlan(p.Payload, p.patterns, a.ElemDT)
-			if err != nil {
-				return fmt.Errorf("%w: rebuilding path %d plan: %v", snapshot.ErrCorrupt, i, err)
-			}
-			p.plan = plan
-		}
-		if v := a.Cond.Vec; v != nil {
-			if gdag == nil {
-				return fmt.Errorf("%w: guard-vectorized conditional without guard DAG", snapshot.ErrCorrupt)
-			}
-			if err := checkDAG(gdag, len(v.GuardPatterns)); err != nil {
-				return err
-			}
-			gplan, err := BuildPlanAt(gdag, v.GuardPatterns, a.ElemDT, 0, v.A, v.B)
-			if err != nil {
-				return fmt.Errorf("%w: rebuilding guard plan: %v", snapshot.ErrCorrupt, err)
-			}
-			v.GuardPlan = gplan
-			// Arms allocate registers above the guard in taken-then-fall
-			// order, mirroring the original construction.
-			base := armlite.VReg(len(gdag.Nodes))
-			mkArm := func(idx int) (*CondArm, error) {
-				if idx < 0 {
-					return nil, nil
-				}
-				p := &a.Cond.Paths[idx]
-				if p.Payload == nil {
-					return nil, fmt.Errorf("%w: conditional arm points at empty path %d", snapshot.ErrCorrupt, idx)
-				}
-				plan, err := BuildPlanAt(p.Payload, p.patterns, a.ElemDT, base)
-				if err != nil {
-					return nil, fmt.Errorf("%w: rebuilding arm plan: %v", snapshot.ErrCorrupt, err)
-				}
-				base += armlite.VReg(len(p.Payload.Nodes))
-				return &CondArm{Plan: plan, Patterns: p.patterns}, nil
-			}
-			if v.Taken, err = mkArm(takenPath); err != nil {
-				return err
-			}
-			if v.Fall, err = mkArm(fallPath); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if a.Payload != nil {
-		if err := checkDAG(a.Payload, len(a.Patterns)); err != nil {
-			return err
-		}
-		plan, err := BuildPlan(a.Payload, a.Patterns, a.ElemDT)
-		if err != nil {
-			return fmt.Errorf("%w: rebuilding plan: %v", snapshot.ErrCorrupt, err)
-		}
-		a.plan = plan
-	}
-	return nil
-}
-
-// checkDAG bounds-checks every pattern index before the planner (which
-// trusts them) runs over a decoded DAG.
-func checkDAG(dag *PayloadDAG, nPatterns int) error {
-	for _, n := range dag.Nodes {
-		if (n.Kind == NodeLoad || n.Kind == NodeConstMem) && (n.Pattern < 0 || n.Pattern >= nPatterns) {
-			return fmt.Errorf("%w: node pattern index %d of %d", snapshot.ErrCorrupt, n.Pattern, nPatterns)
-		}
-	}
-	for i := range dag.Stores {
-		if p := dag.Stores[i].Pattern; p < 0 || p >= nPatterns {
-			return fmt.Errorf("%w: store pattern index %d of %d", snapshot.ErrCorrupt, p, nPatterns)
-		}
-		if dag.Stores[i].Value == nil {
-			return fmt.Errorf("%w: store slot %d without a value node", snapshot.ErrCorrupt, i)
-		}
-	}
-	return nil
-}
-
-func encodeDAGRef(e *snapshot.Enc, nt *nodeTable, dag *PayloadDAG) {
-	e.Bool(dag != nil)
-	if dag == nil {
-		return
-	}
-	e.U32(uint32(len(dag.Nodes)))
-	for _, n := range dag.Nodes {
-		e.Int(nodeRef(nt, n))
-	}
-	e.U32(uint32(len(dag.Stores)))
-	for i := range dag.Stores {
-		e.Int(dag.Stores[i].Pattern)
-		e.Int(nodeRef(nt, dag.Stores[i].Value))
-	}
-}
-
-func decodeDAGRef(d *snapshot.Dec, nodes []*Node) (*PayloadDAG, error) {
+func decodeCachedLoop(d *snapshot.Dec, prog *armlite.Program, cfg Config) (*CachedLoop, error) {
+	id, kind := d.Int(), LoopKind(d.Int())
 	if !d.Bool() {
-		return nil, d.Err()
+		cl := &CachedLoop{LoopID: id, Kind: kind, Reason: d.Str()}
+		return cl, d.Err()
 	}
-	dag := &PayloadDAG{}
-	n := int(d.U32())
+	branchPC := d.Int()
+	nRegs := int(d.U32())
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if n > len(nodes) {
-		return nil, fmt.Errorf("%w: DAG claims %d of %d nodes", snapshot.ErrCorrupt, n, len(nodes))
+	if id < 0 || id > branchPC || branchPC >= len(prog.Code) {
+		return nil, fmt.Errorf("%w: cached loop %d..%d outside the program", snapshot.ErrCorrupt, id, branchPC)
 	}
-	dag.Nodes = make([]*Node, n)
-	for i := range dag.Nodes {
-		nd, err := lookupNode(d, nodes)
+	if nRegs < 1 || nRegs > maxMappingIters+2 {
+		return nil, fmt.Errorf("%w: cached loop %d claims %d register files", snapshot.ErrCorrupt, id, nRegs)
+	}
+	regs := make([][armlite.NumRegs]uint32, nRegs)
+	for i := range regs {
+		for r := range regs[i] {
+			regs[i][r] = d.U32()
+		}
+	}
+	nRecs := int(d.U32())
+	if d.Err() != nil {
+		return nil, d.Err()
+	}
+	if nRecs > (maxMappingIters+1)*maxIterRecords {
+		return nil, fmt.Errorf("%w: cached loop %d claims %d records", snapshot.ErrCorrupt, id, nRecs)
+	}
+
+	// Replay on a scratch engine: its own stats and caches, no policy,
+	// and a machine holding only the program and the register file the
+	// track records at each iteration end — the decide code reads
+	// nothing else of the machine, so nothing reaches live state.
+	// Records stream from the payload straight into the track's log.
+	cfg.EnablePolicy = false
+	x := NewEngine(&cpu.Machine{Prog: prog}, cfg)
+	x.m.R = regs[0]
+	t := x.takeTrack(id, branchPC)
+	if kind == KindDynamicRange {
+		// The only trace a dynamic-range re-analysis leaves on its
+		// verdict is the kind decideSimple reports.
+		t.kind = KindDynamicRange
+	}
+	for i := 0; i < nRecs; i++ {
+		rec, err := decodeStepRec(d, prog)
 		if err != nil {
 			return nil, err
 		}
-		if nd == nil {
-			return nil, fmt.Errorf("%w: nil node in DAG node list", snapshot.ErrCorrupt)
+		if t.stage == stDecided || (!t.inIteration && rec.PC != id) {
+			return nil, fmt.Errorf("%w: record %d of cached loop %d is not part of its analysis", snapshot.ErrCorrupt, i, id)
 		}
-		dag.Nodes[i] = nd
+		if t.iter < nRegs {
+			x.m.R = regs[t.iter]
+		}
+		x.trackStep(t, &rec)
 	}
-	nStores := int(d.U32())
+	cl := x.Cache.entries[id]
+	if cl == nil || !cl.Vectorizable || cl.Kind != kind || len(cl.regs) != nRegs {
+		return nil, fmt.Errorf("%w: inputs of cached loop %d do not replay to a %v verdict", snapshot.ErrCorrupt, id, kind)
+	}
+
+	cl.LimitValue = d.U32()
+	cl.SentinelRange = d.Int()
+	cid := CIDResult{HasCID: d.Bool(), ConflictIter: d.Int(), Distance: d.Int(), Compares: d.Int()}
+	partial := d.Bool()
+	cl.skews = d.U64()
+	if cl.skews > 0 {
+		skewStrides(cl.Analysis, cl.skews)
+	}
+	cl.Analysis.CID, cl.Analysis.Partial = cid, partial
+	return cl, d.Err()
+}
+
+// StepRec flag bits.
+const (
+	recTaken = 1 << iota
+	recMem
+)
+
+// encodeStepRec writes what the interpreter observed: the PC, the
+// branch outcome and the access address. The instruction, the access
+// width and its direction follow from the program.
+func encodeStepRec(e *snapshot.Enc, r *StepRec) {
+	var flags uint8
+	if r.Taken {
+		flags |= recTaken
+	}
+	if r.HasMem {
+		flags |= recMem
+	}
+	e.U32(uint32(r.PC))
+	e.U8(flags)
+	if r.HasMem {
+		e.U32(r.MemAddr)
+	}
+}
+
+func decodeStepRec(d *snapshot.Dec, prog *armlite.Program) (StepRec, error) {
+	r := StepRec{PC: int(d.U32())}
+	flags := d.U8()
+	r.Taken, r.HasMem = flags&recTaken != 0, flags&recMem != 0
+	if r.HasMem {
+		r.MemAddr = d.U32()
+	}
 	if d.Err() != nil {
-		return nil, d.Err()
+		return r, d.Err()
 	}
-	if nStores > 1<<16 {
-		return nil, fmt.Errorf("%w: %d store slots claimed", snapshot.ErrCorrupt, nStores)
+	if r.PC >= len(prog.Code) || flags&^(recTaken|recMem) != 0 {
+		return r, fmt.Errorf("%w: step record at PC %d, flags %#x", snapshot.ErrCorrupt, r.PC, flags)
 	}
-	dag.Stores = make([]StoreSlot, nStores)
-	for i := range dag.Stores {
-		dag.Stores[i].Pattern = d.Int()
-		v, err := lookupNode(d, nodes)
-		if err != nil {
-			return nil, err
-		}
-		dag.Stores[i].Value = v
+	r.Instr = &prog.Code[r.PC]
+	op := r.Instr.Op
+	if (r.Taken && !op.IsBranch()) || (r.HasMem && !op.IsMem()) {
+		return r, fmt.Errorf("%w: step record at PC %d does not fit its %v", snapshot.ErrCorrupt, r.PC, op)
 	}
-	return dag, d.Err()
-}
-
-func encodeTrip(e *snapshot.Enc, t *TripInfo) {
-	e.U8(uint8(t.CounterReg))
-	e.I64(t.Delta)
-	e.U8(uint8(t.LimitReg))
-	e.U32(uint32(t.LimitImm))
-	e.Bool(t.LimitIsImm)
-	e.U8(uint8(t.Cond))
-	e.Int(t.CmpPC)
-	e.Bool(t.CounterIsRn)
-	e.Bool(t.Unsigned)
-}
-
-func decodeTrip(d *snapshot.Dec, t *TripInfo) error {
-	t.CounterReg = armlite.Reg(d.U8())
-	t.Delta = d.I64()
-	t.LimitReg = armlite.Reg(d.U8())
-	t.LimitImm = int32(d.U32())
-	t.LimitIsImm = d.Bool()
-	t.Cond = armlite.Cond(d.U8())
-	t.CmpPC = d.Int()
-	t.CounterIsRn = d.Bool()
-	t.Unsigned = d.Bool()
-	return d.Err()
-}
-
-func encodeInduction(e *snapshot.Enc, ind map[armlite.Reg]int64) {
-	regs := make([]int, 0, len(ind))
-	for r := range ind {
-		regs = append(regs, int(r))
-	}
-	sort.Ints(regs)
-	e.U32(uint32(len(regs)))
-	for _, r := range regs {
-		e.U8(uint8(r))
-		e.I64(ind[armlite.Reg(r)])
-	}
-}
-
-func decodeInduction(d *snapshot.Dec) (map[armlite.Reg]int64, error) {
-	out := make(map[armlite.Reg]int64)
-	n := int(d.U32())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		r := armlite.Reg(d.U8())
-		out[r] = d.I64()
-	}
-	return out, d.Err()
-}
-
-func encodePatterns(e *snapshot.Enc, ps []MemPattern) {
-	e.U32(uint32(len(ps)))
-	for i := range ps {
-		p := &ps[i]
-		e.Int(p.PC)
-		e.Bool(p.Store)
-		e.U8(uint8(p.DT))
-		e.Int(p.Size)
-		e.U8(uint8(p.BaseReg))
-		e.U8(uint8(p.Mem.Base))
-		e.U8(uint8(p.Mem.Index))
-		e.U32(uint32(p.Mem.Offset))
-		e.U8(p.Mem.Shift)
-		e.U8(uint8(p.Mem.Kind))
-		e.Bool(p.Mem.Writeback)
-		e.Bool(p.MultiOcc)
-		e.Int(p.RefIterA)
-		e.Int(p.RefIterB)
-		e.U32(p.AddrA)
-		e.U32(p.AddrB)
-		e.I64(p.Stride)
-	}
-}
-
-func decodePatterns(d *snapshot.Dec) ([]MemPattern, error) {
-	n := int(d.U32())
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if n > 1<<16 {
-		return nil, fmt.Errorf("%w: %d memory patterns claimed", snapshot.ErrCorrupt, n)
-	}
-	ps := make([]MemPattern, n)
-	for i := range ps {
-		p := &ps[i]
-		p.PC = d.Int()
-		p.Store = d.Bool()
-		p.DT = armlite.DataType(d.U8())
-		p.Size = d.Int()
-		p.BaseReg = armlite.Reg(d.U8())
-		p.Mem.Base = armlite.Reg(d.U8())
-		p.Mem.Index = armlite.Reg(d.U8())
-		p.Mem.Offset = int32(d.U32())
-		p.Mem.Shift = d.U8()
-		p.Mem.Kind = armlite.AddrKind(d.U8())
-		p.Mem.Writeback = d.Bool()
-		p.MultiOcc = d.Bool()
-		p.RefIterA = d.Int()
-		p.RefIterB = d.Int()
-		p.AddrA = d.U32()
-		p.AddrB = d.U32()
-		p.Stride = d.I64()
-	}
-	return ps, d.Err()
-}
-
-func encodePCSet(e *snapshot.Enc, s map[int]bool) {
-	pcs := make([]int, 0, len(s))
-	for pc, on := range s {
-		if on {
-			pcs = append(pcs, pc)
+	if r.HasMem {
+		r.MemSize, r.MemStore = r.Instr.DT.Size(), op == armlite.OpStr
+		if op == armlite.OpVld1 || op == armlite.OpVst1 {
+			r.MemSize, r.MemStore = armlite.VectorBytes, op == armlite.OpVst1
 		}
 	}
-	sort.Ints(pcs)
-	e.U32(uint32(len(pcs)))
-	for _, pc := range pcs {
-		e.Int(pc)
-	}
-}
-
-func decodePCSet(d *snapshot.Dec) (map[int]bool, error) {
-	out := make(map[int]bool)
-	n := int(d.U32())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		out[d.Int()] = true
-	}
-	return out, d.Err()
+	return r, nil
 }

@@ -341,13 +341,10 @@ loop:   ldr   r3, [r5], #4
 	}
 }
 
-// TestDynamicRangePaperExample (Fig. 24): the same loop runs twice
-// with different ranges; the DSA re-analyzes on the limit change and
-// a range-dependent dependency flips the verdict.
-func TestDynamicRangeReanalysis(t *testing.T) {
-	// First entry: 5 iterations (no dependency in range).
-	// Second entry: 20 iterations (store stream reaches the loads).
-	src := `
+// dynamicRangeSrc runs the same loop twice with different ranges.
+// First entry: 5 iterations (no dependency in range). Second entry: 20
+// iterations (store stream reaches the loads).
+const dynamicRangeSrc = `
         mov   r9, #5          ; first range
         mov   r8, #0          ; entry counter
 outer:  mov   r5, #0x1000     ; load cursor
@@ -365,14 +362,21 @@ loop:   ldr   r3, [r5], #4
         blt   outer
         halt
 `
-	prog := asm.MustAssemble("dynrange", src)
-	setup := func(m *cpu.Machine) {
-		vals := make([]int32, 64)
-		for i := range vals {
-			vals[i] = int32(i * 5)
-		}
-		m.Mem.WriteWords(0x1000, vals)
+
+func seedDynamicRange(m *cpu.Machine) {
+	vals := make([]int32, 64)
+	for i := range vals {
+		vals[i] = int32(i * 5)
 	}
+	m.Mem.WriteWords(0x1000, vals)
+}
+
+// TestDynamicRangePaperExample (Fig. 24): the same loop runs twice
+// with different ranges; the DSA re-analyzes on the limit change and
+// a range-dependent dependency flips the verdict.
+func TestDynamicRangeReanalysis(t *testing.T) {
+	prog := asm.MustAssemble("dynrange", dynamicRangeSrc)
+	setup := seedDynamicRange
 	ref := runScalar(t, prog, setup)
 	s := runDSA(t, prog, DefaultConfig(), setup)
 	checkWords(t, ref, s.M, 0x1000, 64, "dynrange v")

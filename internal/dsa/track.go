@@ -97,17 +97,12 @@ type memObs struct {
 }
 
 // pathInfo captures one control path through a conditional loop's
-// body: the set of executed PCs (its signature) and the first two
-// iterations observed taking it.
+// body: the first two iterations observed taking it, and where the
+// first observation's records sit in the track's log.
 type pathInfo struct {
-	sig      string // canonical signature of executed body PCs
-	pcs      map[int]bool
 	firstIt  int
 	secondIt int
-	recsA    []StepRec // records of the first observation
-	memA     map[memKey]uint32
-	memB     map[memKey]uint32
-	analyzed bool
+	lo, hi   int // first observation: t.log[lo:hi]
 }
 
 // track is the DSA's per-loop analysis state.
@@ -127,14 +122,14 @@ type track struct {
 	exited      bool
 	rejected    string // non-empty: rejection reason
 
-	cur []StepRec // current iteration's records
-
-	// Saved iterations for simple analysis (2 and 3).
-	it2, it3 []StepRec
-
-	// Register file snapshots at iteration ends.
-	snapPrev, snapCur [armlite.NumRegs]uint32
-	haveSnapPrev      bool
+	// log holds every record the track consumed since it opened; the
+	// current iteration is log[curStart:]. regs holds the register file
+	// at track open and at each iteration end. Together they are the
+	// loop's decision inputs: a vectorizable verdict hands them to its
+	// CachedLoop, and a snapshot restore replays them (persist.go).
+	log      []StepRec
+	curStart int
+	regs     [][armlite.NumRegs]uint32
 
 	// Per-register deltas between consecutive iteration ends; deltaOK
 	// marks registers whose delta was identical across the observed
@@ -189,8 +184,9 @@ func newTrack(id, branchPC int) *track {
 }
 
 // reset reinitializes a pooled track for a new loop, retaining map and
-// slice backing storage. Everything a decision could retain (analysis
-// artifacts, path records) is copied out before a track is decided, so
+// slice backing storage. A decision retains nothing else of the track:
+// analysis artifacts are built fresh, and a vectorizable verdict takes
+// the log and register files with it (the track starts new ones), so
 // reuse cannot alias live state — see the engine's free list.
 func (t *track) reset(id, branchPC int) {
 	memFree := t.memFree
@@ -206,7 +202,7 @@ func (t *track) reset(id, branchPC int) {
 		clear(t.occ)
 	}
 	mem, paths, coverage, occ := t.mem, t.paths, t.coverage, t.occ
-	cur, it2, it3 := t.cur[:0], t.it2[:0], t.it3[:0]
+	log, regs := t.log[:0], t.regs[:0]
 	*t = track{
 		id:       id,
 		branchPC: branchPC,
@@ -217,9 +213,8 @@ func (t *track) reset(id, branchPC int) {
 		paths:    paths,
 		coverage: coverage,
 		occ:      occ,
-		cur:      cur,
-		it2:      it2,
-		it3:      it3,
+		log:      log,
+		regs:     regs,
 	}
 }
 
@@ -241,21 +236,28 @@ func (t *track) reject(reason string) {
 // beginIteration starts collecting a new iteration.
 func (t *track) beginIteration() {
 	t.inIteration = true
-	t.cur = t.cur[:0]
+	t.curStart = len(t.log)
 	t.callDepth = 0
 }
+
+// cur returns the current iteration's records.
+func (t *track) cur() []StepRec { return t.log[t.curStart:] }
+
+// lastRegs returns the register file at the latest iteration end (at
+// track open before the first one).
+func (t *track) lastRegs() *[armlite.NumRegs]uint32 { return &t.regs[len(t.regs)-1] }
 
 // observe appends one record to the active iteration.
 func (t *track) observe(r *StepRec, occCount map[int]int) {
 	if !t.inIteration || t.stage == stDecided {
 		return
 	}
-	if len(t.cur) >= maxIterRecords {
+	if len(t.log)-t.curStart >= maxIterRecords {
 		t.tooBig = true
 		t.reject("iteration-too-long")
 		return
 	}
-	t.cur = append(t.cur, *r)
+	t.log = append(t.log, *r)
 	if t.inBody(r.PC) {
 		t.coverage[r.PC] = true
 	}
@@ -312,25 +314,20 @@ func (t *track) observe(r *StepRec, occCount map[int]int) {
 }
 
 // signature canonicalizes the set of body PCs executed this iteration.
-func (t *track) signature() (string, map[int]bool) {
-	pcs := make(map[int]bool)
+func (t *track) signature() string {
+	cur := t.cur()
 	buf := make([]byte, 0, t.bodyLen())
 	for pc := t.id; pc <= t.branchPC; pc++ {
-		hit := false
-		for _, r := range t.cur {
-			if r.PC == pc {
-				hit = true
+		hit := byte('0')
+		for i := range cur {
+			if cur[i].PC == pc {
+				hit = '1'
 				break
 			}
 		}
-		if hit {
-			pcs[pc] = true
-			buf = append(buf, '1')
-		} else {
-			buf = append(buf, '0')
-		}
+		buf = append(buf, hit)
 	}
-	return string(buf), pcs
+	return string(buf)
 }
 
 // covered reports whether every body PC has been executed by some

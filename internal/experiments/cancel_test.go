@@ -35,7 +35,7 @@ func TestCancelMidTakeoverRollsBack(t *testing.T) {
 	if err := ref.run(); err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
-	want, err := ref.state(w)
+	want, err := ref.checkedState(w)
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}

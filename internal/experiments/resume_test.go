@@ -23,9 +23,11 @@ import (
 // require the resumed run's final memory digest, tick count, step
 // count and DSA fallback attribution to be bit-identical to the
 // uninterrupted run's. Any divergence means the snapshot misses state
-// or restores it wrong.
+// or restores it wrong. DSA modes kill at four points per case: their
+// snapshots carry the DSA cache, which restore rebuilds by replaying
+// each cached loop's decision.
 //
-// The kill step is derived from DSASIM_RESUME_SEED (default 1) and is
+// The kill steps derive from DSASIM_RESUME_SEED (default 1) and are
 // printed on failure so a miss reproduces exactly. In -short mode (and
 // via DSASIM_RESUME_WORKLOADS=a,b,c) the sweep runs on a subset.
 
@@ -118,15 +120,20 @@ func (s *sim) run() error {
 	return s.m.Run(nil)
 }
 
-func (s *sim) state(w *workloads.Workload) (*runState, error) {
-	if err := w.Check(s.m); err != nil {
-		return nil, fmt.Errorf("output check: %w", err)
-	}
+func (s *sim) state() *runState {
 	st := &runState{memSum: s.m.Mem.Sum64(), ticks: s.m.Ticks, steps: s.m.Steps}
 	if s.sys != nil {
 		st.stats = s.sys.Stats().Snapshot()
 	}
-	return st, nil
+	return st
+}
+
+// checkedState is state after the workload's output check.
+func (s *sim) checkedState(w *workloads.Workload) (*runState, error) {
+	if err := w.Check(s.m); err != nil {
+		return nil, fmt.Errorf("output check: %w", err)
+	}
+	return s.state(), nil
 }
 
 // resumeWorkloads picks the sweep set: the env override, a fast subset
@@ -184,7 +191,7 @@ func TestInterruptResumeOracle(t *testing.T) {
 // dumpFailedSnapshot preserves the kill-point snapshot for post-mortem
 // when the oracle fails and DSASIM_RESUME_ARTIFACTS names a directory
 // (CI uploads it as a build artifact).
-func dumpFailedSnapshot(t *testing.T, w *workloads.Workload, mode Mode, snap []byte) {
+func dumpFailedSnapshot(t *testing.T, name string, snap []byte) {
 	t.Cleanup(func() {
 		dir := os.Getenv("DSASIM_RESUME_ARTIFACTS")
 		if !t.Failed() || dir == "" || snap == nil {
@@ -194,7 +201,7 @@ func dumpFailedSnapshot(t *testing.T, w *workloads.Workload, mode Mode, snap []b
 			t.Logf("artifact dir: %v", err)
 			return
 		}
-		path := filepath.Join(dir, w.Name+"_"+string(mode)+".dsnp")
+		path := filepath.Join(dir, name+".dsnp")
 		if err := os.WriteFile(path, snap, 0o644); err != nil {
 			t.Logf("artifact write: %v", err)
 			return
@@ -204,35 +211,58 @@ func dumpFailedSnapshot(t *testing.T, w *workloads.Workload, mode Mode, snap []b
 }
 
 func testInterruptResume(t *testing.T, w *workloads.Workload, mode Mode, seed int64) {
+	build := func() (*sim, error) { return buildSim(w, mode) }
 	// Reference: the uninterrupted run.
-	ref, err := buildSim(w, mode)
+	ref, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ref.run(); err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
-	want, err := ref.state(w)
+	want, err := ref.checkedState(w)
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
 
-	// Pick the kill step inside the run, pseudo-randomly but
+	// Pick the kill steps inside the run, pseudo-randomly but
 	// reproducibly per (seed, workload, mode).
 	rng := rand.New(rand.NewSource(seed ^ int64(cpu.ProgramFingerprint(ref.m.Prog))))
-	killStep := 1 + uint64(rng.Int63n(int64(want.steps)))
+	kills := 1
+	if ref.sys != nil {
+		kills = 4
+	}
+	for i := 0; i < kills; i++ {
+		killStep := 1 + uint64(rng.Int63n(int64(want.steps)))
+		label := fmt.Sprintf("seed=%d killStep=%d", seed, killStep)
+		artifact := fmt.Sprintf("%s_%s_%d", w.Name, mode, killStep)
+		// DSA modes postpone the hook to the next engine-quiescent
+		// point, so the actual kill step may trail the requested one;
+		// both are legitimate interruption points.
+		got, _ := resumeAt(t, build, func(v *sim) bool { return v.m.Steps >= killStep }, label, artifact)
+		if err := w.Check(got.m); err != nil {
+			t.Fatalf("%s: resumed run: output check: %v", label, err)
+		}
+		compareRunState(t, label, want, got.state())
+	}
+}
 
-	// Interrupted run: snapshot at the first hook firing at or past the
-	// kill step, then abort. DSA modes postpone the hook to the next
-	// engine-quiescent point, so the actual kill step may trail the
-	// requested one; both are legitimate interruption points.
-	victim, err := buildSim(w, mode)
+// resumeAt runs a fresh simulation until kill first holds at a hook
+// firing, snapshots there and aborts, then resumes another fresh
+// simulation from the snapshot bytes and runs it to completion. It
+// returns the finished simulation and whether it resumed: when the run
+// halts before kill ever holds, the victim itself finishes (the
+// interruption never happened, and the equality claim is vacuous but
+// must still hold).
+func resumeAt(t *testing.T, build func() (*sim, error), kill func(*sim) bool, label, artifact string) (*sim, bool) {
+	t.Helper()
+	victim, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var snap []byte
 	victim.setHook(func() error {
-		if victim.m.Steps < killStep {
+		if !kill(victim) {
 			return nil
 		}
 		var sw snapshot.Writer
@@ -244,61 +274,89 @@ func testInterruptResume(t *testing.T, w *workloads.Workload, mode Mode, seed in
 	})
 	err = victim.run()
 	if err == nil {
-		// The run halted before the hook could fire past killStep (a
-		// kill point in the final stretch with no further quiescent
-		// hook firing). The interruption never happened; the oracle's
-		// equality claim is vacuous here, but the completed victim must
-		// still match the reference.
-		got, serr := victim.state(w)
-		if serr != nil {
-			t.Fatalf("seed=%d killStep=%d: uninterrupted victim: %v", seed, killStep, serr)
-		}
-		compareRunState(t, seed, killStep, want, got)
-		return
+		return victim, false
 	}
 	if !errors.Is(err, errKill) {
-		t.Fatalf("seed=%d killStep=%d: interrupted run died of the wrong cause: %v", seed, killStep, err)
+		t.Fatalf("%s: interrupted run died of the wrong cause: %v", label, err)
 	}
 	if snap == nil {
-		t.Fatalf("seed=%d killStep=%d: killed without a snapshot", seed, killStep)
+		t.Fatalf("%s: killed without a snapshot", label)
 	}
-	dumpFailedSnapshot(t, w, mode, snap)
+	dumpFailedSnapshot(t, artifact, snap)
 
-	// Resume a freshly built simulation from the snapshot bytes and run
-	// it to completion.
-	resumed, err := buildSim(w, mode)
+	resumed, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rd, err := snapshot.Parse(snap)
 	if err != nil {
-		t.Fatalf("seed=%d killStep=%d: parse snapshot: %v", seed, killStep, err)
+		t.Fatalf("%s: parse snapshot: %v", label, err)
 	}
 	if err := resumed.restore(rd); err != nil {
-		t.Fatalf("seed=%d killStep=%d: restore: %v", seed, killStep, err)
+		t.Fatalf("%s: restore: %v", label, err)
 	}
 	if err := resumed.run(); err != nil {
-		t.Fatalf("seed=%d killStep=%d: resumed run: %v", seed, killStep, err)
+		t.Fatalf("%s: resumed run: %v", label, err)
 	}
-	got, err := resumed.state(w)
-	if err != nil {
-		t.Fatalf("seed=%d killStep=%d: resumed run: %v", seed, killStep, err)
-	}
-	compareRunState(t, seed, killStep, want, got)
+	return resumed, true
 }
 
-func compareRunState(t *testing.T, seed int64, killStep uint64, want, got *runState) {
+// TestInterruptResumeFaulted resumes runs whose silent cidp-skew faults
+// leave skewed strides in the cached analyses (Verify off, so nothing
+// rolls them back). The snapshot lands at the first quiescent point
+// after the first fired fault; the resumed run must carry the residue
+// forward and match the uninterrupted run. Outputs are wrong by design,
+// so there is no output check.
+func TestInterruptResumeFaulted(t *testing.T) {
+	for _, name := range []string{"str_prep", "bit_count", "susan_e"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			cfg := dsa.DefaultConfig()
+			cfg.Fault = dsa.FaultConfig{Kind: dsa.FaultSkewCIDP, EveryN: 3}
+			build := func() (*sim, error) {
+				s, err := dsa.NewSystem(w.Scalar(), cpu.DefaultConfig(), cfg)
+				if err != nil {
+					return nil, err
+				}
+				w.Setup(s.M)
+				return &sim{m: s.M, sys: s}, nil
+			}
+			ref, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.run(); err != nil {
+				t.Fatalf("uninterrupted run: %v", err)
+			}
+			if ref.sys.Faults().Fired == 0 {
+				t.Fatal("no cidp-skew fault fired; the case exercises nothing")
+			}
+			fired := func(v *sim) bool { return v.sys.Faults().Fired > 0 }
+			got, resumed := resumeAt(t, build, fired, "cidp-skew", name+"_cidp-skew")
+			if !resumed {
+				t.Fatal("the run halted before a quiescent point after the first fault")
+			}
+			compareRunState(t, "cidp-skew", ref.state(), got.state())
+		})
+	}
+}
+
+func compareRunState(t *testing.T, label string, want, got *runState) {
 	t.Helper()
 	if got.memSum != want.memSum {
-		t.Errorf("seed=%d killStep=%d: memory digest %016x, want %016x", seed, killStep, got.memSum, want.memSum)
+		t.Errorf("%s: memory digest %016x, want %016x", label, got.memSum, want.memSum)
 	}
 	if got.ticks != want.ticks {
-		t.Errorf("seed=%d killStep=%d: ticks %d, want %d", seed, killStep, got.ticks, want.ticks)
+		t.Errorf("%s: ticks %d, want %d", label, got.ticks, want.ticks)
 	}
 	if got.steps != want.steps {
-		t.Errorf("seed=%d killStep=%d: steps %d, want %d", seed, killStep, got.steps, want.steps)
+		t.Errorf("%s: steps %d, want %d", label, got.steps, want.steps)
 	}
 	if !reflect.DeepEqual(got.stats, want.stats) {
-		t.Errorf("seed=%d killStep=%d: DSA stats diverged:\n got: %+v\nwant: %+v", seed, killStep, got.stats, want.stats)
+		t.Errorf("%s: DSA stats diverged:\n got: %+v\nwant: %+v", label, got.stats, want.stats)
 	}
 }

@@ -33,8 +33,9 @@ const (
 	// Version is the current snapshot format version. Bump on any
 	// incompatible change to section encodings; old files then fail
 	// restore with ErrVersion and the caller restarts from zero.
-	// v2 added the lease-epoch word to the header.
-	Version = 2
+	// v2 added the lease-epoch word to the header; v3 stores each
+	// cached loop's decision inputs instead of its analysis.
+	Version = 3
 
 	// HeaderLen is the fixed byte length before the first section:
 	// magic + version + epoch + epochCRC + count.
