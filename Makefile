@@ -31,8 +31,8 @@ race:
 	$(GO) test -race ./...
 
 # allocs is the allocation-regression gate: the interpreter's hot
-# step loop AND the DSA steady-state watch path (cache hit, CID memo
-# replay, checkpointed takeover, batched NEON, commit) must not
+# step loop AND the DSA steady-state watch path (cache hit, dependency
+# re-validation, checkpointed takeover, batched NEON, commit) must not
 # allocate. It must run without -race (the detector's instrumentation
 # allocates), which is why it is a separate target from race.
 allocs:
@@ -44,15 +44,16 @@ check: vet fmt allocs race
 
 # fuzz gives every fuzz target a short budget (CI smoke; run longer
 # locally when touching a decoder): the assembler, the job-submission
-# decode, both daemons' state-file loaders, the snapshot container and
-# record stream, and the dsa snapshot sections. The checked-in corpora
-# under each package's testdata/fuzz start the runs warm; the
-# minimization cap keeps the budget on new inputs rather than on
-# shrinking the first interesting one.
+# decode, both daemons' state-file loaders, replication batch apply,
+# the snapshot container and record stream, and the dsa snapshot
+# sections. The checked-in corpora under each package's testdata/fuzz
+# start the runs warm; the minimization cap keeps the budget on new
+# inputs rather than on shrinking the first interesting one.
 fuzz:
 	$(GO) test ./internal/asm -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzReplicateBatch$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzSnapshotParse$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/dsa -run '^$$' -fuzz '^FuzzRestoreState$$' -fuzztime 10s -fuzzminimizetime 2s
 

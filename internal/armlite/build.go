@@ -12,13 +12,6 @@ func MovImm(rd Reg, imm int32) Instr {
 	return in
 }
 
-// MovReg builds `mov rd, rm`.
-func MovReg(rd, rm Reg) Instr {
-	in := NewInstr(OpMov)
-	in.Rd, in.Rm = rd, rm
-	return in
-}
-
 // ALUReg builds a three-register data-processing instruction.
 func ALUReg(op Op, rd, rn, rm Reg) Instr {
 	in := NewInstr(op)

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/server"
 	"repro/internal/snapshot"
@@ -66,5 +68,51 @@ func FuzzLoadState(f *testing.F) {
 				t.Fatalf("loader %d: bad state file not quarantined: %v", i, err)
 			}
 		}
+	})
+}
+
+// FuzzReplicateBatch feeds arbitrary bytes to a standby the way the
+// replication endpoint does: decode the batch, apply it to a fresh
+// mirror, and export the mirror a promotion would adopt. Nothing may
+// panic, and a batch that does not decode must fail as
+// snapshot.ErrCorrupt (ErrTruncated wraps it), never half-applied.
+//
+// Seeds: a catch-up batch (a snapshot record, then one record of every
+// delta kind), an empty liveness push, and the catch-up batch cut short.
+func FuzzReplicateBatch(f *testing.F) {
+	h := replicateHeader{LeaderEpoch: 2, Leader: "http://127.0.0.1:18091"}
+	state := &clusterState{NextJob: 1, NextWorker: 1, NextEpoch: 1,
+		Jobs: []server.JobRow{{ID: "j000001", Spec: server.JobSpec{Workload: "mm_32x32", Config: "extended"},
+			Status: "queued", IdemKey: "k1"}},
+		Workers: []persistedWorker{{ID: "w0001", Capacity: 2, Session: "s1"}}}
+	full, err := encodeReplicateBatch(h, []repRecord{
+		{Seq: 1, Kind: recSnapshot, State: state},
+		{Seq: 2, Kind: recJob, Job: &server.JobRow{ID: "j000001", Spec: state.Jobs[0].Spec,
+			Status: "running", Owner: "w0001", Epoch: 2<<32 | 1}},
+		{Seq: 3, Kind: recWorker, Worker: &persistedWorker{ID: "w0002", Capacity: 1, Session: "s2"}},
+		{Seq: 4, Kind: recWorkerDel, WorkerDel: "w0001"},
+		{Seq: 5, Kind: recCounters, Counters: &repCounters{NextJob: 2, NextWorker: 3, NextEpoch: 2}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty, err := encodeReplicateBatch(h, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add(empty)
+	f.Add(full[:len(full)-7])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, recs, err := decodeReplicateBatch(data)
+		if err != nil {
+			if !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("decode: untyped error %v", err)
+			}
+			return
+		}
+		sb := newStandby(h.LeaderEpoch, h.Leader, time.Second)
+		sb.apply(recs)
+		sb.export()
 	})
 }

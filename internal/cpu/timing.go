@@ -30,6 +30,3 @@ func fpTicks(op armlite.Op) int64 {
 		return fpAddTicks
 	}
 }
-
-// Cycles converts the machine's tick counter to core cycles.
-func (m *Machine) Cycles() float64 { return float64(m.Ticks) / TicksPerCycle }

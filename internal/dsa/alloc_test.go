@@ -13,7 +13,7 @@ import (
 // detection tap, cache hit, CID re-validation, checkpointed takeover,
 // batched NEON chunks, single-element leftovers, commit — must not
 // allocate. Every structure on that path (tracks, requests, journals,
-// checkpoints, page buffers, element scratch, CID memo) is pooled; a
+// checkpoints, page buffers, element scratch) is pooled; a
 // stray allocation per loop entry would drag GC work into exactly the
 // per-entry cost the paper claims is negligible.
 func TestDSAStepZeroAlloc(t *testing.T) {
@@ -61,7 +61,7 @@ loop:   ldr   r3, [r5], #4
 			t.Fatal(err)
 		}
 	}
-	// Warm up: populate the DSA cache, CID memo, and every pool (track,
+	// Warm up: populate the DSA cache and every pool (track,
 	// request, checkpoint, journal pages, executor scratch).
 	for i := 0; i < 5; i++ {
 		rerun()
@@ -79,13 +79,13 @@ loop:   ldr   r3, [r5], #4
 	}
 }
 
-// TestDSACacheHitSkipsDetection pins the memoized watch path's counter
+// TestDSACacheHitSkipsDetection pins the cached watch path's counter
 // behavior: once a loop's verdict is cached, every later entry is a
 // DSA-cache hit that re-raises the takeover WITHOUT re-running the
 // detection state machine — no verification-cache traffic, no new
 // rejections — while the CIDP comparator charge (the energy model's
-// honest cost: the hardware still runs its comparators even when the
-// simulator replays a memoized verdict) keeps accruing per entry.
+// honest cost: the hardware re-validates the dependency verdict on
+// every entry) keeps accruing per entry.
 func TestDSACacheHitSkipsDetection(t *testing.T) {
 	prog := asm.MustAssemble("vsum-steady", vectorSumSrc)
 	s, err := NewSystem(prog, cpu.DefaultConfig(), DefaultConfig())
@@ -148,8 +148,8 @@ func TestDSACacheHitSkipsDetection(t *testing.T) {
 		t.Errorf("steady-state entries must not produce rejections: %d → %d → %d",
 			warm.rejections, a.rejections, b.rejections)
 	}
-	// The comparator charge still accrues per entry (memo replays the
-	// verdict, not the energy bill), and at exactly the steady-state
+	// The comparator charge still accrues per entry (each entry
+	// re-validates the dependency verdict), and at exactly the steady-state
 	// period: both warm passes charge the same deltas everywhere.
 	if a.compares <= warm.compares {
 		t.Errorf("CIDP compares must keep accruing on cache hits: %d → %d",

@@ -79,9 +79,11 @@ type CIDResult struct {
 	// address some earlier iteration stores (the "11th iteration" of
 	// Fig. 14). Valid only when HasCID.
 	ConflictIter int
-	// Distance is the dependency distance in iterations: a window of
-	// fewer than Distance iterations is safe to vectorize (partial
-	// vectorization, §4.5). Valid only when HasCID.
+	// Distance is the dependency distance in iterations, the smallest
+	// j−i over every conflicting store iteration i and load iteration j:
+	// a window of at most Distance iterations is safe to vectorize
+	// (partial vectorization, §4.5). With unequal strides it can be
+	// shorter than ConflictIter−firstIter. Valid only when HasCID.
 	Distance int
 	// Compares counts predictor evaluations (for the energy model).
 	Compares int
@@ -95,10 +97,10 @@ type CIDResult struct {
 //	window          = [MRead[B] .. MRead[last]]          (4.1)
 //	MWrite[A] ∈ window → CID, else NCID                  (4.2, 4.3)
 //
-// It additionally reports the earliest conflicting iteration so the
-// partial-vectorization stage can size its windows.
+// It additionally reports the earliest conflicting iteration and the
+// dependency distance, which sizes the partial-vectorization windows.
 func PredictCID(patterns []MemPattern, firstIter, lastIter int) CIDResult {
-	res := CIDResult{ConflictIter: lastIter + 1}
+	var res CIDResult
 	for si := range patterns {
 		s := &patterns[si]
 		if !s.Store {
@@ -110,77 +112,86 @@ func PredictCID(patterns []MemPattern, firstIter, lastIter int) CIDResult {
 				continue
 			}
 			res.Compares++
-			if conflict, iter := pairConflict(s, l, firstIter, lastIter); conflict {
-				res.HasCID = true
-				if iter < res.ConflictIter {
-					res.ConflictIter = iter
-					res.Distance = iter - firstIter
-				}
+			conflict, iter, dist := pairConflict(s, l, firstIter, lastIter)
+			if !conflict {
+				continue
 			}
+			if !res.HasCID || iter < res.ConflictIter {
+				res.ConflictIter = iter
+			}
+			if !res.HasCID || dist < res.Distance {
+				res.Distance = dist
+			}
+			res.HasCID = true
 		}
-	}
-	if !res.HasCID {
-		res.ConflictIter = 0
-		res.Distance = 0
 	}
 	return res
 }
 
 // pairConflict checks whether load l at some iteration j in
 // (firstIter, lastIter] reads bytes that store s wrote at an earlier
-// iteration i ≥ firstIter. It returns the earliest such j.
-func pairConflict(s, l *MemPattern, firstIter, lastIter int) (bool, int) {
+// iteration i ≥ firstIter. It returns the earliest such j and the
+// smallest j−i over all such pairs.
+//
+// Same-iteration accesses to the same address (v[i] read-then-write)
+// are not cross-iteration dependencies; conflicts require
+// load-iteration > store-iteration. Streams that stay inside the
+// 32-bit address space are answered exactly with int64 arithmetic:
+// O(1) for equal strides, one O(span) walk for unequal ones.
+func pairConflict(s, l *MemPattern, firstIter, lastIter int) (conflict bool, iter, dist int) {
 	// Fast reject: the store's full range never meets the load's.
 	sLo, sHi := s.Range(firstIter, lastIter)
 	lLo, lHi := l.Range(firstIter, lastIter)
 	if !rangesOverlap(sLo, sHi, lLo, lHi) {
-		return false, 0
+		return false, 0, 0
 	}
-	// Same-iteration accesses to the same address (v[i] read-then-
-	// write) are not cross-iteration dependencies; conflicts require
-	// load-iteration > store-iteration. Walk load iterations and ask
-	// whether any earlier store iteration covers the loaded bytes.
-	// Linear patterns make this a closed form per pair, but the
-	// iteration count here is bounded by the paper's loop sizes, so a
-	// windowed scan keeps the logic auditable; guard very long loops
-	// with the closed form below.
-	if span := lastIter - firstIter; span > 4096 {
-		return pairConflictClosed(s, l, firstIter, lastIter)
+	if patternBounded(s, firstIter, lastIter) && patternBounded(l, firstIter, lastIter) {
+		if s.Stride == l.Stride {
+			return pairConflictExact(s, l, firstIter, lastIter)
+		}
+		return pairConflictWalk(s, l, firstIter, lastIter)
 	}
-	// Equal strides admit an exact closed form (conflict depends only on
-	// the iteration distance j−i). It is bit-identical to the scan below
-	// for wrap-free streams — TestPairConflictExactMatchesScan pins
-	// this — and turns the dominant steady-state NCID case (parallel
-	// load/store streams, e.g. c[i] = c[i] + x) from O(span²) into O(1).
-	if s.Stride == l.Stride &&
-		patternBounded(s, firstIter, lastIter) && patternBounded(l, firstIter, lastIter) {
-		return pairConflictExact(s, l, firstIter, lastIter)
+	// A stream that wraps the 32-bit space faults before any SIMD runs.
+	// Short windows are scanned in uint32 arithmetic, each load
+	// iteration against its nearest earlier stores first; longer ones
+	// are assumed to conflict at once.
+	if lastIter-firstIter > maxWrapScan {
+		return true, firstIter + 1, 1
 	}
-	for j := firstIter + 1; j <= lastIter; j++ {
+	for j := firstIter + 1; j <= lastIter && dist != 1; j++ {
 		jLo := l.AddrAt(j)
 		jHi := jLo + uint32(l.Size) - 1
-		for i := firstIter; i < j; i++ {
+		for i := j - 1; i >= firstIter; i-- {
 			iLo := s.AddrAt(i)
 			iHi := iLo + uint32(s.Size) - 1
 			if rangesOverlap(iLo, iHi, jLo, jHi) {
-				return true, j
+				if !conflict {
+					conflict, iter = true, j
+				}
+				if dist == 0 || j-i < dist {
+					dist = j - i
+				}
+				break
 			}
 		}
 	}
-	return false, 0
+	return conflict, iter, dist
 }
+
+// maxWrapScan bounds the O(span²) scan over wrapping streams.
+const maxWrapScan = 4096
 
 // pairConflictExact solves the equal-stride pair analytically. With a
 // common stride st, store iteration i and load iteration j conflict iff
 // the start-address difference D = (l0−s0) + st·(j−i) satisfies
 // −(lSize−1) ≤ D ≤ sSize−1, so conflicts depend only on m = j−i ≥ 1.
-// The earliest conflicting j is firstIter + m_min (take i = firstIter).
-// Exact int64 arithmetic requires wrap-free streams; the caller checks
-// patternBounded first.
-func pairConflictExact(s, l *MemPattern, firstIter, lastIter int) (bool, int) {
+// The earliest conflicting j is firstIter + m_min (take i = firstIter),
+// and m_min is the dependency distance. Exact int64 arithmetic requires
+// wrap-free streams; the caller checks patternBounded first.
+func pairConflictExact(s, l *MemPattern, firstIter, lastIter int) (bool, int, int) {
 	span := int64(lastIter - firstIter)
 	if span < 1 {
-		return false, 0
+		return false, 0, 0
 	}
 	d := (int64(l.AddrA) + l.Stride*int64(firstIter-l.RefIterA)) -
 		(int64(s.AddrA) + s.Stride*int64(firstIter-s.RefIterA))
@@ -189,9 +200,9 @@ func pairConflictExact(s, l *MemPattern, firstIter, lastIter int) (bool, int) {
 	st := s.Stride
 	if st == 0 {
 		if lo <= 0 && 0 <= hi {
-			return true, firstIter + 1
+			return true, firstIter + 1, 1
 		}
-		return false, 0
+		return false, 0, 0
 	}
 	if st < 0 {
 		st = -st
@@ -205,9 +216,64 @@ func pairConflictExact(s, l *MemPattern, firstIter, lastIter int) (bool, int) {
 		mMin = 1
 	}
 	if mMin*st > hi || mMin > span {
-		return false, 0
+		return false, 0, 0
 	}
-	return true, firstIter + int(mMin)
+	return true, firstIter + int(mMin), int(mMin)
+}
+
+// pairConflictWalk solves the unequal-stride pair exactly in one pass
+// over load iterations j = firstIter+v. With u = i−firstIter, store
+// iteration i writes from s0 + a·u, so the store iterations whose bytes
+// meet load iteration j's bytes [L, L+lSize−1] are those with
+// L−(sSize−1)−s0 ≤ a·u ≤ L+lSize−1−s0: one interval of u. j conflicts
+// iff that interval meets [0, v−1], and its nearest store is the
+// interval's top. The gap v−u is not monotone when the strides differ,
+// so the walk runs until it sees a gap of 1. Like pairConflictExact it
+// requires wrap-free streams.
+func pairConflictWalk(s, l *MemPattern, firstIter, lastIter int) (conflict bool, iter, dist int) {
+	s0 := int64(s.AddrA) + s.Stride*int64(firstIter-s.RefIterA)
+	l0 := int64(l.AddrA) + l.Stride*int64(firstIter-l.RefIterA)
+	for v := int64(1); v <= int64(lastIter-firstIter) && dist != 1; v++ {
+		ld := l0 + l.Stride*v
+		lo := ld - int64(s.Size-1) - s0 // need a·u ≥ lo
+		hi := ld + int64(l.Size-1) - s0 // need a·u ≤ hi
+		a := s.Stride
+		if a < 0 {
+			a, lo, hi = -a, -hi, -lo
+		}
+		uLo, uHi := int64(0), v-1
+		if a == 0 {
+			if lo > 0 || hi < 0 {
+				continue
+			}
+		} else {
+			if c := -floorDiv(-lo, a); c > uLo {
+				uLo = c
+			}
+			if f := floorDiv(hi, a); f < uHi {
+				uHi = f
+			}
+		}
+		if uLo > uHi {
+			continue
+		}
+		if !conflict {
+			conflict, iter = true, firstIter+int(v)
+		}
+		if d := int(v - uHi); dist == 0 || d < dist {
+			dist = d
+		}
+	}
+	return conflict, iter, dist
+}
+
+// floorDiv rounds n/d toward −∞ for d > 0.
+func floorDiv(n, d int64) int64 {
+	q := n / d
+	if n%d != 0 && n < 0 {
+		q--
+	}
+	return q
 }
 
 // patternBounded reports whether every byte p touches over iterations
@@ -221,44 +287,6 @@ func patternBounded(p *MemPattern, firstIter, lastIter int) bool {
 		lo, hi = hi, lo
 	}
 	return lo >= 0 && hi+int64(p.Size) <= int64(1)<<32
-}
-
-// pairConflictClosed solves the conflict iteration analytically for
-// equal-stride patterns (the common case); for unequal strides it
-// falls back to a conservative answer (assume conflict at the earliest
-// possible iteration), matching what fixed-latency hardware would do.
-func pairConflictClosed(s, l *MemPattern, firstIter, lastIter int) (bool, int) {
-	if s.Stride == l.Stride {
-		// Offset between the streams is constant: d = lAddr - sAddr.
-		d := int64(l.AddrAt(firstIter)) - int64(s.AddrAt(firstIter))
-		if s.Stride == 0 {
-			if rangesOverlap(s.AddrAt(firstIter), s.AddrAt(firstIter)+uint32(s.Size)-1,
-				l.AddrAt(firstIter), l.AddrAt(firstIter)+uint32(l.Size)-1) {
-				return true, firstIter + 1
-			}
-			return false, 0
-		}
-		// Load at iteration j reads sAddr(i) when
-		// l0 + st·j = s0 + st·i ⇒ j - i = (s0-l0)/st = -d/st.
-		k := -d
-		st := s.Stride
-		if k%st != 0 {
-			// Ranges may still graze via widths; approximate with the
-			// nearest distance.
-			k = k - k%st
-		}
-		dist := k / st
-		if dist <= 0 {
-			return false, 0
-		}
-		j := firstIter + int(dist)
-		if j <= lastIter {
-			return true, j
-		}
-		return false, 0
-	}
-	// Unequal strides with overlapping ranges: conservative.
-	return true, firstIter + 1
 }
 
 // StoresDisjointFromLoads reports whether every store stream is

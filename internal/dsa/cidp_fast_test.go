@@ -1,27 +1,37 @@
 package dsa
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/armlite"
+	"repro/internal/asm"
 )
 
-// scanPairConflict is the windowed O(span²) reference the closed form
-// must match exactly — a verbatim copy of pairConflict's scan loop.
-func scanPairConflict(s, l *MemPattern, firstIter, lastIter int) (bool, int) {
-	for j := firstIter + 1; j <= lastIter; j++ {
+// scanPairConflict is the windowed O(span²) reference the exact
+// predictor must match — a verbatim copy of pairConflict's scan over
+// wrapping streams. Each load iteration j is checked against store
+// iterations j−1, j−2, … so its first hit is its nearest store.
+func scanPairConflict(s, l *MemPattern, firstIter, lastIter int) (conflict bool, iter, dist int) {
+	for j := firstIter + 1; j <= lastIter && dist != 1; j++ {
 		jLo := l.AddrAt(j)
 		jHi := jLo + uint32(l.Size) - 1
-		for i := firstIter; i < j; i++ {
+		for i := j - 1; i >= firstIter; i-- {
 			iLo := s.AddrAt(i)
 			iHi := iLo + uint32(s.Size) - 1
 			if rangesOverlap(iLo, iHi, jLo, jHi) {
-				return true, j
+				if !conflict {
+					conflict, iter = true, j
+				}
+				if dist == 0 || j-i < dist {
+					dist = j - i
+				}
+				break
 			}
 		}
 	}
-	return false, 0
+	return conflict, iter, dist
 }
 
 // TestPairConflictExactMatchesScan pins the equal-stride closed form
@@ -48,11 +58,11 @@ func TestPairConflictExactMatchesScan(t *testing.T) {
 					if !patternBounded(s, first, last) || !patternBounded(l, first, last) {
 						continue
 					}
-					wantC, wantJ := scanPairConflict(s, l, first, last)
-					gotC, gotJ := pairConflictExact(s, l, first, last)
-					if wantC != gotC || wantJ != gotJ {
-						t.Fatalf("st=%d ss=%d ls=%d off=%d window=[%d,%d]: scan=(%v,%d) exact=(%v,%d)",
-							st, ss, ls, off, first, last, wantC, wantJ, gotC, gotJ)
+					wantC, wantJ, wantD := scanPairConflict(s, l, first, last)
+					gotC, gotJ, gotD := pairConflictExact(s, l, first, last)
+					if wantC != gotC || wantJ != gotJ || wantD != gotD {
+						t.Fatalf("st=%d ss=%d ls=%d off=%d window=[%d,%d]: scan=(%v,%d,%d) exact=(%v,%d,%d)",
+							st, ss, ls, off, first, last, wantC, wantJ, wantD, gotC, gotJ, gotD)
 					}
 					trials++
 				}
@@ -74,57 +84,167 @@ func TestPairConflictWrapFallsBackToScan(t *testing.T) {
 	if patternBounded(s, 2, 40) {
 		t.Fatal("store stream should be unbounded (wraps)")
 	}
-	wantC, wantJ := scanPairConflict(s, l, 2, 40)
-	gotC, gotJ := pairConflict(s, l, 2, 40)
-	if wantC != gotC || wantJ != gotJ {
-		t.Fatalf("wrap case: scan=(%v,%d) pairConflict=(%v,%d)", wantC, wantJ, gotC, gotJ)
+	wantC, wantJ, wantD := scanPairConflict(s, l, 2, 40)
+	gotC, gotJ, gotD := pairConflict(s, l, 2, 40)
+	if wantC != gotC || wantJ != gotJ || wantD != gotD {
+		t.Fatalf("wrap case: scan=(%v,%d,%d) pairConflict=(%v,%d,%d)", wantC, wantJ, wantD, gotC, gotJ, gotD)
 	}
 }
 
-// TestCIDMemoReplay: the memoized verdict replays only under the
-// invariance conditions (same trip count, same relative geometry,
-// wrap-free shift) and is refused otherwise.
-func TestCIDMemoReplay(t *testing.T) {
-	mk := func(base uint32) []MemPattern {
-		return []MemPattern{
-			{Store: false, Size: 4, RefIterA: 2, AddrA: base, Stride: 4, DT: armlite.Word},
-			{Store: true, Size: 4, RefIterA: 2, AddrA: base + 0x1000, Stride: 4, DT: armlite.Word},
+// TestPairConflictMatchesScan pins pairConflict to the windowed scan
+// on every bounded geometry it can meet: equal and unequal strides of
+// either sign, access widths up to a 16-byte vector, base offsets that
+// are not stride multiples, and windows past 4,096 iterations.
+func TestPairConflictMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sizes := []int{1, 2, 4, 16}
+	strides := []int64{-16, -8, -4, -3, -1, 0, 1, 2, 3, 4, 8, 16, 256}
+	want := 60000
+	if raceEnabled {
+		want /= 10 // the scan reference is O(span²) per geometry
+	}
+	trials, long := 0, 0
+	for trials < want {
+		ss, ls := sizes[rng.Intn(len(sizes))], sizes[rng.Intn(len(sizes))]
+		sst := strides[rng.Intn(len(strides))]
+		lst := sst
+		if rng.Intn(2) == 0 {
+			lst = strides[rng.Intn(len(strides))]
+		}
+		first := 2
+		last := first + rng.Intn(80)
+		if trials%500 == 0 {
+			last = first + 4000 + rng.Intn(1000)
+			long++
+		}
+		base := int64(0x100000 + rng.Intn(1<<16))
+		off := int64(rng.Intn(128) - 64)
+		if rng.Intn(4) == 0 {
+			// Streams that start apart and run into each other.
+			off = int64(rng.Intn(8192) - 4096)
+		}
+		s := &MemPattern{Store: true, Size: ss, RefIterA: first,
+			AddrA: uint32(base), Stride: sst, DT: armlite.Word}
+		l := &MemPattern{Store: false, Size: ls, RefIterA: first,
+			AddrA: uint32(base + off), Stride: lst, DT: armlite.Word}
+		if !patternBounded(s, first, last) || !patternBounded(l, first, last) {
+			continue
+		}
+		wantC, wantJ, wantD := scanPairConflict(s, l, first, last)
+		gotC, gotJ, gotD := pairConflict(s, l, first, last)
+		if wantC != gotC || wantJ != gotJ || wantD != gotD {
+			t.Fatalf("store (size %d, stride %d) load (size %d, stride %d) off=%d window=[%d,%d]: scan=(%v,%d,%d) pairConflict=(%v,%d,%d)",
+				ss, sst, ls, lst, off, first, last, wantC, wantJ, wantD, gotC, gotJ, gotD)
+		}
+		trials++
+	}
+	if long < want/600 {
+		t.Fatalf("only %d windows past 4,096 iterations ran", long)
+	}
+}
+
+// TestPredictCIDLongLoops: the verdict for a geometry does not depend
+// on whether the window is shorter or longer than 4,096 iterations, and
+// its distance is that of the nearest conflicting pair. In the crossing
+// case the store stream meets the invariant load at relative store
+// iterations 5 and 6, so the first conflict is load 6 (ConflictIter 8),
+// and loads 6 and 7 each read the store just before them: Distance 1,
+// not 6.
+func TestPredictCIDLongLoops(t *testing.T) {
+	cases := []struct {
+		name         string
+		store        MemPattern
+		load         MemPattern
+		conflictIter int // 0: NCID
+	}{
+		{"store-2-bytes-ahead",
+			MemPattern{Store: true, Size: 4, DT: armlite.Word, RefIterA: 2, AddrA: 0x10002, Stride: 4},
+			MemPattern{Size: 4, DT: armlite.Word, RefIterA: 2, AddrA: 0x10000, Stride: 4}, 3},
+		{"word-store-byte-load",
+			MemPattern{Store: true, Size: 4, DT: armlite.Word, RefIterA: 2, AddrA: 0x10000, Stride: 1},
+			MemPattern{Size: 1, DT: armlite.Byte, RefIterA: 2, AddrA: 0x10000, Stride: 1}, 3},
+		{"store-stride-4-load-stride-8",
+			MemPattern{Store: true, Size: 4, DT: armlite.Word, RefIterA: 2, AddrA: 0x10000, Stride: 4},
+			MemPattern{Size: 4, DT: armlite.Word, RefIterA: 2, AddrA: 0x10000, Stride: 8}, 0},
+		{"unaligned-store-crosses-invariant-load",
+			MemPattern{Store: true, Size: 4, DT: armlite.Word, RefIterA: 2, AddrA: 0x10002, Stride: 4},
+			MemPattern{Size: 4, DT: armlite.Word, RefIterA: 2, AddrA: 0x10018}, 8},
+	}
+	for _, c := range cases {
+		for _, n := range []int{4000, 4098, 5000} {
+			want := CIDResult{Compares: 1}
+			if c.conflictIter != 0 {
+				want = CIDResult{HasCID: true, ConflictIter: c.conflictIter, Distance: 1, Compares: 1}
+			}
+			if res := PredictCID([]MemPattern{c.load, c.store}, 2, n); res != want {
+				t.Errorf("%s, n=%d: %+v, want %+v", c.name, n, res, want)
+			}
 		}
 	}
-	c := &CachedLoop{}
-	pats := mk(0x4000)
-	res := PredictCID(pats, 2, 64)
-	c.memoStore(pats, 64, res)
+}
 
-	if got, ok := c.memoPredict(mk(0x4000), 64); !ok || got != res {
-		t.Fatalf("identical re-entry: memo miss (ok=%v)", ok)
+// TestDependentLongLoopsRejected runs two count loops whose loads read
+// bytes an earlier iteration stored, for 4,000 and for 5,000 iterations
+// (either side of the length the predictor once switched at). Each must
+// be rejected and leave the scalar run's memory image.
+//
+//   - store-ahead: the store runs 2 bytes ahead of the load on a common
+//     4-byte stride, so every iteration reads bytes the previous one
+//     wrote.
+//   - crossing: a word store stream starting 2 bytes past a word
+//     boundary crosses a loop-invariant word load. Stores 5 and 6 each
+//     write half of the loaded word, so the loads of iterations 6 and 7
+//     each read the previous iteration's store. A window as long as the
+//     gap to the first conflict would read the invariant word once,
+//     before store 6 in the same window writes half of it.
+func TestDependentLongLoopsRejected(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{"store-ahead", `
+        mov   r5, #0x10000
+        add   r2, r5, #2
+        mov   r0, #0
+        mov   r6, #0x10001
+        mov   r4, #%d
+loop:   ldr   r3, [r5], #4
+        add   r3, r3, r6
+        str   r3, [r2], #4
+        add   r0, r0, #1
+        cmp   r0, r4
+        blt   loop
+        halt
+`},
+		{"crossing", `
+        mov   r5, #0x10018
+        mov   r2, #0x10002
+        mov   r0, #0
+        mov   r6, #0x10001
+        mov   r4, #%d
+loop:   ldr   r3, [r5]
+        add   r3, r3, r6
+        str   r3, [r2], #4
+        add   r0, r0, #1
+        cmp   r0, r4
+        blt   loop
+        halt
+`},
 	}
-	// Shifted base, same relative geometry, wrap-free: replays.
-	if got, ok := c.memoPredict(mk(0x9000), 64); !ok || got != res {
-		t.Fatalf("shifted re-entry: memo miss (ok=%v)", ok)
-	}
-	// Verify the replayed verdict equals a fresh computation.
-	if fresh := PredictCID(mk(0x9000), 2, 64); fresh != res {
-		t.Fatalf("shift invariance violated: fresh=%+v memo=%+v", fresh, res)
-	}
-	// Different trip count: refuse.
-	if _, ok := c.memoPredict(mk(0x4000), 32); ok {
-		t.Fatal("trip-count change must refuse the memo")
-	}
-	// Different relative geometry: refuse.
-	moved := mk(0x4000)
-	moved[1].AddrA += 8
-	if _, ok := c.memoPredict(moved, 64); ok {
-		t.Fatal("relative-geometry change must refuse the memo")
-	}
-	// Stride change: refuse.
-	strided := mk(0x4000)
-	strided[1].Stride = 8
-	if _, ok := c.memoPredict(strided, 64); ok {
-		t.Fatal("stride change must refuse the memo")
-	}
-	// Wrapping shift: refuse (shift invariance does not apply).
-	if _, ok := c.memoPredict(mk(0xFFFFFF00), 64); ok {
-		t.Fatal("wrapping re-entry must refuse the memo")
+	for _, c := range cases {
+		for _, n := range []int{4000, 5000} {
+			t.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(t *testing.T) {
+				prog := asm.MustAssemble(c.name, fmt.Sprintf(c.src, n))
+				ref := runScalar(t, prog, nil)
+				s := runDSA(t, prog, DefaultConfig(), nil)
+				if got, want := s.M.Mem.Sum64(), ref.Mem.Sum64(); got != want {
+					t.Errorf("memory digest %016x, want the scalar run's %016x", got, want)
+				}
+				st := s.Stats()
+				if st.Takeovers != 0 || st.VectorizedIters != 0 {
+					t.Errorf("takeovers = %d, vectorized iterations = %d, want none", st.Takeovers, st.VectorizedIters)
+				}
+				if st.RejectedReasons["cross-iteration-dependency"] == 0 {
+					t.Errorf("rejections = %v, want cross-iteration-dependency", st.RejectedReasons)
+				}
+			})
+		}
 	}
 }

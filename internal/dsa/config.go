@@ -14,15 +14,15 @@
 //	config.go      — configuration, latency model, DSA and verification caches
 //	engine.go      — the observer: drives the state machines, cache hits,
 //	                 stream rebasing and verdict bookkeeping
-//	track.go       — per-loop state machines; the record log and register
-//	                 files each decision consumes
+//	track.go       — per-loop state machines; the record log, its
+//	                 iteration windows and the register files: each
+//	                 decision's inputs and only observation store
 //	stats.go       — counters, their energy events and cache report
 //
 // Dependency Analysis
 //
 //	cidp.go        — memory patterns and cross-iteration dependency
 //	                 prediction (Eq. 4.1–4.5)
-//	memo.go        — CID verdict memo for cache-hit re-validation
 //
 // Store ID: extraction and the per-kind decisions
 //
@@ -292,11 +292,6 @@ type CachedLoop struct {
 	// dynamic-range (type A) loop and forces re-analysis.
 	LimitValue uint32
 	LimitIsImm bool
-
-	// memo caches the last PredictCID verdict for steady-state
-	// re-entries (see memo.go). Transient: snapshots do not persist it
-	// and a restored entry simply recomputes on its first hit.
-	memo cidMemo
 
 	// recs and regs are a vectorizable entry's decision inputs: every
 	// record its track consumed, and the register file at track open

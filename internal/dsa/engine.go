@@ -351,17 +351,7 @@ func (e *Engine) onCacheHit(c *CachedLoop, branchPC int) {
 			return // too short to pay for the switch this entry
 		}
 		// Re-validate the dependency prediction under the new range.
-		// The memo replays the last verdict when the rebased geometry
-		// is provably equivalent (memo.go); the stats charge is the
-		// same either way — the hardware still runs its comparators,
-		// the simulator just skips recomputing a known answer.
-		res, ok := c.memoPredict(a.Patterns, n)
-		if !ok {
-			res = PredictCID(a.Patterns, 2, n)
-			c.memoStore(a.Patterns, n, res)
-		}
-		e.stats.CIDPCompares += uint64(res.Compares)
-		e.stats.AnalysisTicks += int64(res.Compares) * e.cfg.Latencies.CIDPCompare
+		res := e.predictCID(a.Patterns, 2, n)
 		if res.HasCID && !a.Partial {
 			if !e.cfg.EnablePartial || res.Distance < 2 {
 				// Cheap cached decline — not a policy loss (see above).
@@ -372,6 +362,15 @@ func (e *Engine) onCacheHit(c *CachedLoop, branchPC int) {
 		a.Partial = res.HasCID
 		e.pending = e.newRequest(Request{Kind: ReqVector, Analysis: a, StartIter: 2, TotalIters: n, Cached: c})
 	}
+}
+
+// predictCID runs the Dependency Analysis over iterations
+// [first, last] and charges its comparators to the stats.
+func (e *Engine) predictCID(patterns []MemPattern, first, last int) CIDResult {
+	res := PredictCID(patterns, first, last)
+	e.stats.CIDPCompares += uint64(res.Compares)
+	e.stats.AnalysisTicks += int64(res.Compares) * e.cfg.Latencies.CIDPCompare
+	return res
 }
 
 // currentLimit reads the trip-limit value from the live register file.
@@ -489,10 +488,7 @@ func (e *Engine) trackStep(t *track, s *StepRec) {
 			return
 		}
 	}
-	if t.occ == nil {
-		t.occ = make(map[int]int)
-	}
-	t.observe(s, t.occ)
+	t.observe(s)
 	if t.stage == stDecided {
 		// observe() itself can reject (record-buffer overflow).
 		e.recordVerdict(t, false)
@@ -603,9 +599,6 @@ func (e *Engine) NoteVectorized(bodyStart, bodyEnd int) {
 func (e *Engine) endIteration(t *track) {
 	t.iter++
 	t.inIteration = false
-	if t.occ != nil {
-		clear(t.occ) // retain the map for the next iteration
-	}
 	e.stats.StateTransitions++
 
 	// Register snapshots and cumulative delta verification.

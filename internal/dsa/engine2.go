@@ -142,22 +142,15 @@ func (e *Engine) buildPatterns(t *track, recs []StepRec, iterA, iterB int) ([]Me
 	})
 	patterns := make([]MemPattern, 0, len(order))
 	patIdx := make(map[memKey]int, len(order))
+	recsA, recsB := t.window(iterA), t.window(iterB)
 	for _, k := range order {
-		obs := t.mem[k]
-		var a, b *memObs
-		for i := range obs {
-			if obs[i].iter == iterA {
-				a = &obs[i]
-			}
-			if obs[i].iter == iterB {
-				b = &obs[i]
-			}
-		}
-		if a == nil || b == nil {
+		addrA, okA := siteAddr(recsA, k.pc, k.occ)
+		addrB, okB := siteAddr(recsB, k.pc, k.occ)
+		if !okA || !okB {
 			return nil, nil, rejectf("irregular-memory-site")
 		}
 		si := sites[k]
-		p, err := NewMemPattern(k.pc, si.store, si.instr.DT, si.size, iterA, iterB, a.addr, b.addr)
+		p, err := NewMemPattern(k.pc, si.store, si.instr.DT, si.size, iterA, iterB, addrA, addrB)
 		if err != nil {
 			return nil, nil, rejectf("non-linear-access")
 		}
@@ -239,9 +232,7 @@ func (e *Engine) decideSimple(t *track) {
 		fail(reasonOf(err))
 		return
 	}
-	cid := PredictCID(patterns, 2, n)
-	e.stats.CIDPCompares += uint64(cid.Compares)
-	e.stats.AnalysisTicks += int64(cid.Compares) * e.cfg.Latencies.CIDPCompare
+	cid := e.predictCID(patterns, 2, n)
 	partial := false
 	if cid.HasCID {
 		if !e.cfg.EnablePartial || cid.Distance < 2 {
@@ -403,9 +394,7 @@ func (e *Engine) decideSentinel(t *track) {
 	}
 
 	spec := specRangeFor(0, dt.Lanes())
-	cid := PredictCID(patterns, 2, 3+spec+1)
-	e.stats.CIDPCompares += uint64(cid.Compares)
-	e.stats.AnalysisTicks += int64(cid.Compares) * e.cfg.Latencies.CIDPCompare
+	cid := e.predictCID(patterns, 2, 3+spec+1)
 	if cid.HasCID {
 		fail("cross-iteration-dependency")
 		return

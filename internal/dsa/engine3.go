@@ -15,7 +15,7 @@ func (e *Engine) recordPath(t *track) {
 	sig := t.signature()
 	p := t.paths[sig]
 	if p == nil {
-		t.paths[sig] = &pathInfo{firstIt: t.iter, lo: t.curStart, hi: len(t.log)}
+		t.paths[sig] = &pathInfo{firstIt: t.iter}
 		return
 	}
 	if p.secondIt == 0 {
@@ -153,7 +153,7 @@ func (e *Engine) decideConditional(t *track) {
 	}
 	seqs := make([][]int, len(paths))
 	for i, p := range paths {
-		seqs[i] = bodySeq(t, t.log[p.lo:p.hi])
+		seqs[i] = bodySeq(t, t.window(p.firstIt))
 	}
 	nPrefix, nSuffix := commonPrefixSuffix(seqs)
 	if nPrefix == 0 {
@@ -211,7 +211,7 @@ func (e *Engine) decideConditional(t *track) {
 		bodyIdx := 0
 		middlePCs := make(map[int]bool)
 		guardPCs := make(map[int]bool)
-		for _, r := range t.log[p.lo:p.hi] {
+		for _, r := range t.window(p.firstIt) {
 			if !t.inBody(r.PC) {
 				fail("record-outside-body")
 				return
@@ -360,9 +360,7 @@ func (e *Engine) decideConditional(t *track) {
 		}
 	}
 
-	cid := PredictCID(allPatterns, 2, n)
-	e.stats.CIDPCompares += uint64(cid.Compares)
-	e.stats.AnalysisTicks += int64(cid.Compares) * e.cfg.Latencies.CIDPCompare
+	cid := e.predictCID(allPatterns, 2, n)
 	if cid.HasCID {
 		fail("cross-iteration-dependency")
 		return
@@ -442,13 +440,13 @@ func (e *Engine) decideConditional(t *track) {
 }
 
 // buildPathPatterns derives patterns for one condition path: shared
-// (header/tail) sites from iterations 2 and 3, middle sites from the
-// path's two observations.
+// (header/tail) sites from the first two iterations observing them,
+// middle sites from the path's two observations.
 func (e *Engine) buildPathPatterns(t *track, p *pathInfo, middlePCs map[int]bool) ([]MemPattern, map[memKey]int, error) {
 	var patterns []MemPattern
 	patIdx := make(map[memKey]int)
 	occ := make(map[int]int)
-	recs := t.log[p.lo:p.hi]
+	recs := t.window(p.firstIt)
 	for i := range recs {
 		r := &recs[i]
 		if !r.HasMem {
@@ -462,27 +460,25 @@ func (e *Engine) buildPathPatterns(t *track, p *pathInfo, middlePCs map[int]bool
 		k := memKey{pc: r.PC, occ: 0}
 		iterA, iterB := p.firstIt, p.secondIt
 		if !middlePCs[r.PC] {
-			// Shared site: every iteration observes it; use the first
-			// two recorded observations.
-			obs := t.mem[k]
-			if len(obs) < 2 {
-				return nil, nil, rejectf("irregular-memory-site")
-			}
-			iterA, iterB = obs[0].iter, obs[1].iter
-		}
-		var a, b *memObs
-		for j := range t.mem[k] {
-			if t.mem[k][j].iter == iterA {
-				a = &t.mem[k][j]
-			}
-			if t.mem[k][j].iter == iterB {
-				b = &t.mem[k][j]
+			// Shared site: use the first two iterations observing it.
+			iterA, iterB = 0, 0
+			for it := 2; it <= t.iter && iterB == 0; it++ {
+				if _, ok := siteAddr(t.window(it), r.PC, 0); !ok {
+					continue
+				}
+				if iterA == 0 {
+					iterA = it
+				} else {
+					iterB = it
+				}
 			}
 		}
-		if a == nil || b == nil {
+		addrA, okA := siteAddr(t.window(iterA), r.PC, 0)
+		addrB, okB := siteAddr(t.window(iterB), r.PC, 0)
+		if !okA || !okB {
 			return nil, nil, rejectf("irregular-memory-site")
 		}
-		mp, err := NewMemPattern(r.PC, r.MemStore, r.Instr.DT, r.MemSize, iterA, iterB, a.addr, b.addr)
+		mp, err := NewMemPattern(r.PC, r.MemStore, r.Instr.DT, r.MemSize, iterA, iterB, addrA, addrB)
 		if err != nil {
 			return nil, nil, rejectf("non-linear-access")
 		}

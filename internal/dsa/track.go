@@ -90,19 +90,11 @@ type memKey struct {
 	occ int
 }
 
-// memObs is an address observation for a memory site at an iteration.
-type memObs struct {
-	iter int
-	addr uint32
-}
-
 // pathInfo captures one control path through a conditional loop's
-// body: the first two iterations observed taking it, and where the
-// first observation's records sit in the track's log.
+// body: the first two iterations observed taking it.
 type pathInfo struct {
 	firstIt  int
 	secondIt int
-	lo, hi   int // first observation: t.log[lo:hi]
 }
 
 // track is the DSA's per-loop analysis state.
@@ -122,28 +114,22 @@ type track struct {
 	exited      bool
 	rejected    string // non-empty: rejection reason
 
-	// log holds every record the track consumed since it opened; the
-	// current iteration is log[curStart:]. regs holds the register file
-	// at track open and at each iteration end. Together they are the
-	// loop's decision inputs: a vectorizable verdict hands them to its
-	// CachedLoop, and a snapshot restore replays them (persist.go).
-	log      []StepRec
-	curStart int
-	regs     [][armlite.NumRegs]uint32
+	// log holds every record the track consumed since it opened, and
+	// starts[k] is where iteration k+2 (the first one a track collects)
+	// begins in it. regs holds the register file at track open and at
+	// each iteration end. log and regs are the loop's decision inputs
+	// and its only observation store: a vectorizable verdict hands them
+	// to its CachedLoop, and a snapshot restore replays them
+	// (persist.go).
+	log    []StepRec
+	starts []int
+	regs   [][armlite.NumRegs]uint32
 
 	// Per-register deltas between consecutive iteration ends; deltaOK
 	// marks registers whose delta was identical across the observed
 	// iterations (induction candidates).
 	delta   [armlite.NumRegs]int64
 	deltaOK [armlite.NumRegs]bool
-
-	// Memory observations by site. memFree recycles the per-site
-	// observation slices across reuses of a pooled track: clear(t.mem)
-	// in reset would otherwise drop the slice backing with the map
-	// entries, making every re-tracked loop (e.g. an outer loop
-	// re-marked nested on each entry) allocate per site per entry.
-	mem     map[memKey][]memObs
-	memFree [][]memObs
 
 	// Conditional-loop discovery.
 	condSeen  bool
@@ -152,10 +138,6 @@ type track struct {
 	exitSeen  bool         // mid-body exit branch observed (sentinel hint)
 	exitPC    int
 	exitTaken bool
-
-	// occ counts per-PC memory-site occurrences within the current
-	// iteration (reset every iteration).
-	occ map[int]int
 
 	// Adaptive-policy baseline marks: machine ticks and modeled energy
 	// at track creation (= the end of iteration 1), so iteration 2's
@@ -177,7 +159,6 @@ func newTrack(id, branchPC int) *track {
 		branchPC: branchPC,
 		iter:     1, // created at the end of the first iteration
 		stage:    stDetected,
-		mem:      make(map[memKey][]memObs),
 		paths:    make(map[string]*pathInfo),
 		coverage: make(map[int]bool),
 	}
@@ -189,31 +170,19 @@ func newTrack(id, branchPC int) *track {
 // the log and register files with it (the track starts new ones), so
 // reuse cannot alias live state — see the engine's free list.
 func (t *track) reset(id, branchPC int) {
-	memFree := t.memFree
-	for k, v := range t.mem {
-		if cap(v) > 0 {
-			memFree = append(memFree, v[:0])
-		}
-		delete(t.mem, k)
-	}
 	clear(t.paths)
 	clear(t.coverage)
-	if t.occ != nil {
-		clear(t.occ)
-	}
-	mem, paths, coverage, occ := t.mem, t.paths, t.coverage, t.occ
-	log, regs := t.log[:0], t.regs[:0]
+	paths, coverage := t.paths, t.coverage
+	log, starts, regs := t.log[:0], t.starts[:0], t.regs[:0]
 	*t = track{
 		id:       id,
 		branchPC: branchPC,
 		iter:     1,
 		stage:    stDetected,
-		mem:      mem,
-		memFree:  memFree,
 		paths:    paths,
 		coverage: coverage,
-		occ:      occ,
 		log:      log,
+		starts:   starts,
 		regs:     regs,
 	}
 }
@@ -236,23 +205,51 @@ func (t *track) reject(reason string) {
 // beginIteration starts collecting a new iteration.
 func (t *track) beginIteration() {
 	t.inIteration = true
-	t.curStart = len(t.log)
+	t.starts = append(t.starts, len(t.log))
 	t.callDepth = 0
 }
 
-// cur returns the current iteration's records.
-func (t *track) cur() []StepRec { return t.log[t.curStart:] }
+// cur returns the current (or just completed) iteration's records.
+func (t *track) cur() []StepRec { return t.log[t.starts[len(t.starts)-1]:] }
+
+// window returns iteration k's records, or nil when the track did not
+// collect iteration k.
+func (t *track) window(k int) []StepRec {
+	i := k - 2
+	if i < 0 || i >= len(t.starts) {
+		return nil
+	}
+	end := len(t.log)
+	if i+1 < len(t.starts) {
+		end = t.starts[i+1]
+	}
+	return t.log[t.starts[i]:end]
+}
+
+// siteAddr returns the address of the occ-th memory access by pc in
+// recs: memory site (pc, occ) as one iteration observed it.
+func siteAddr(recs []StepRec, pc, occ int) (uint32, bool) {
+	for i := range recs {
+		if r := &recs[i]; r.HasMem && r.PC == pc {
+			if occ == 0 {
+				return r.MemAddr, true
+			}
+			occ--
+		}
+	}
+	return 0, false
+}
 
 // lastRegs returns the register file at the latest iteration end (at
 // track open before the first one).
 func (t *track) lastRegs() *[armlite.NumRegs]uint32 { return &t.regs[len(t.regs)-1] }
 
 // observe appends one record to the active iteration.
-func (t *track) observe(r *StepRec, occCount map[int]int) {
+func (t *track) observe(r *StepRec) {
 	if !t.inIteration || t.stage == stDecided {
 		return
 	}
-	if len(t.log)-t.curStart >= maxIterRecords {
+	if len(t.cur()) >= maxIterRecords {
 		t.tooBig = true
 		t.reject("iteration-too-long")
 		return
@@ -295,21 +292,6 @@ func (t *track) observe(r *StepRec, occCount map[int]int) {
 			// a potential condition region.
 			t.condSeen = true
 		}
-	}
-	// Memory observation. New sites take a recycled slice from the
-	// pooled-track free list before falling back to append's growth.
-	if r.HasMem {
-		occ := occCount[r.PC]
-		occCount[r.PC] = occ + 1
-		k := memKey{pc: r.PC, occ: occ}
-		s, ok := t.mem[k]
-		if !ok {
-			if n := len(t.memFree); n > 0 {
-				s = t.memFree[n-1]
-				t.memFree = t.memFree[:n-1]
-			}
-		}
-		t.mem[k] = append(s, memObs{iter: t.iter + 1, addr: r.MemAddr})
 	}
 }
 

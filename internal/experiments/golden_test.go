@@ -2,25 +2,33 @@ package experiments
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"reflect"
 	"testing"
 
-	"repro/internal/cpu"
-	"repro/internal/dsa"
-	"repro/internal/vectorize"
 	"repro/internal/workloads"
 )
 
-// The golden differential test: testdata/golden_digests.json was
-// generated by cmd/goldengen against the pre-predecode interpreter
-// (the last interpreter that executed armlite.Instr directly), so
-// replaying the whole workload suite against it pins the predecoded
-// interpreter to the old one bit for bit — memory image digest, tick
-// count, retired-step count and DSA fallback attribution, per workload
-// per mode. Regenerate the file only for an intentional semantic
-// change, and say so in the commit.
+// The golden differential test: testdata/golden_digests.json pins every
+// workload under every mode — memory image digest, tick count,
+// retired-step count, DSA fallback attribution and the detection
+// engine's accounting — as experiments.Run produces them. Its rows
+// were first captured against the pre-predecode interpreter (the last
+// interpreter that executed armlite.Instr directly), so replaying the
+// suite pins the predecoded interpreter to the old one bit for bit.
+// Regenerate the file only for an intentional semantic change, and say
+// so in the commit:
+//
+//	go test ./internal/experiments -run TestGoldenDigests -update
+
+var update = flag.Bool("update", false, "rewrite testdata/golden_digests.json from this build")
+
+const goldenPath = "testdata/golden_digests.json"
+
+// goldenModes is every mode, in the file's row order.
+var goldenModes = []Mode{ModeScalar, ModeAutoVec, ModeHand, ModeDSAOrig, ModeDSAExt, ModeDSAAdaptive}
 
 type golden struct {
 	Workload        string            `json:"workload"`
@@ -33,9 +41,9 @@ type golden struct {
 }
 
 // goldenDSA pins the detection engine's accounting for dsa modes
-// (schema v2): memoized fast paths must replay every counter the slow
-// path would have charged, so a skipped CIDP pass or cache access that
-// forgets its stats shows up here as a hard diff.
+// (schema v2): a fast path must charge every counter the slow path
+// would have, so a skipped CIDP pass or cache access that forgets its
+// stats shows up here as a hard diff.
 type goldenDSA struct {
 	AnalysisTicks    int64  `json:"analysis_ticks"`
 	StateTransitions uint64 `json:"state_transitions"`
@@ -60,86 +68,67 @@ type goldenFile struct {
 	Goldens []golden `json:"goldens"`
 }
 
-// replay mirrors cmd/goldengen's runOne: same mode setup, same
-// measurement points.
-func replay(w *workloads.Workload, mode Mode) (*golden, error) {
-	g := &golden{Workload: w.Name, Mode: string(mode)}
-	var m *cpu.Machine
-	switch mode {
-	case ModeScalar:
-		m = cpu.MustNew(w.Scalar(), cpu.DefaultConfig())
-	case ModeAutoVec:
-		prog, _, err := vectorize.AutoVectorize(w.Scalar(), vectorize.Options{NoAlias: w.NoAlias})
-		if err != nil {
-			return nil, err
-		}
-		m = cpu.MustNew(prog, cpu.DefaultConfig())
-	case ModeHand:
-		prog := w.Scalar()
-		if w.Hand != nil {
-			prog = w.Hand()
-		}
-		m = cpu.MustNew(prog, cpu.DefaultConfig())
-	case ModeDSAOrig, ModeDSAExt, ModeDSAAdaptive:
-		cfg := dsa.DefaultConfig()
-		switch mode {
-		case ModeDSAOrig:
-			cfg = dsa.OriginalConfig()
-		case ModeDSAAdaptive:
-			cfg = dsa.AdaptiveConfig()
-		}
-		s, err := dsa.NewSystem(w.Scalar(), cpu.DefaultConfig(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		w.Setup(s.M)
-		if err := s.Run(); err != nil {
-			return nil, err
-		}
-		if err := w.Check(s.M); err != nil {
-			return nil, err
-		}
-		st := s.Stats().Snapshot()
-		g.FallbackReasons = st.FallbackReasons
-		g.DSA = &goldenDSA{
-			AnalysisTicks:    st.AnalysisTicks,
-			StateTransitions: st.StateTransitions,
-			LoopsDetected:    st.LoopsDetected,
-			DSACacheAccesses: st.DSACacheAccesses,
-			DSACacheHits:     st.DSACacheHits,
-			VCacheAccesses:   st.VCacheAccesses,
-			CIDPCompares:     st.CIDPCompares,
-			ArrayMapAccesses: st.ArrayMapAccesses,
-			Takeovers:        st.Takeovers,
-			VectorizedIters:  st.VectorizedIters,
-			LeftoverElements: st.LeftoverElements,
-			OverheadTicks:    st.OverheadTicks,
-			PolicyKept:       st.PolicyKept,
-			PolicySuspended:  st.PolicySuspended,
-			PolicyTrialed:    st.PolicyTrialed,
-		}
-		g.MemDigest = fmt.Sprintf("%016x", s.M.Mem.Sum64())
-		g.Ticks = s.M.Ticks
-		g.Steps = s.M.Steps
+// goldenOf runs one workload under one mode and takes its golden row.
+func goldenOf(w *workloads.Workload, mode Mode) (*golden, error) {
+	r, m, err := run(w, mode)
+	if err != nil {
+		return nil, err
+	}
+	g := &golden{Workload: w.Name, Mode: string(mode),
+		MemDigest: fmt.Sprintf("%016x", m.Mem.Sum64()), Ticks: r.Ticks, Steps: r.Steps}
+	if r.DSA == nil {
 		return g, nil
-	default:
-		return nil, fmt.Errorf("unknown mode %q", mode)
 	}
-	w.Setup(m)
-	if err := m.Run(nil); err != nil {
-		return nil, err
+	st := r.DSA.Snapshot()
+	g.FallbackReasons = st.FallbackReasons
+	g.DSA = &goldenDSA{
+		AnalysisTicks:    st.AnalysisTicks,
+		StateTransitions: st.StateTransitions,
+		LoopsDetected:    st.LoopsDetected,
+		DSACacheAccesses: st.DSACacheAccesses,
+		DSACacheHits:     st.DSACacheHits,
+		VCacheAccesses:   st.VCacheAccesses,
+		CIDPCompares:     st.CIDPCompares,
+		ArrayMapAccesses: st.ArrayMapAccesses,
+		Takeovers:        st.Takeovers,
+		VectorizedIters:  st.VectorizedIters,
+		LeftoverElements: st.LeftoverElements,
+		OverheadTicks:    st.OverheadTicks,
+		PolicyKept:       st.PolicyKept,
+		PolicySuspended:  st.PolicySuspended,
+		PolicyTrialed:    st.PolicyTrialed,
 	}
-	if err := w.Check(m); err != nil {
-		return nil, err
-	}
-	g.MemDigest = fmt.Sprintf("%016x", m.Mem.Sum64())
-	g.Ticks = m.Ticks
-	g.Steps = m.Steps
 	return g, nil
 }
 
+// writeGoldens regenerates the golden file from this build.
+func writeGoldens(t *testing.T) {
+	f := goldenFile{Schema: "golden_digests/v3"}
+	for _, w := range workloads.All() {
+		for _, mode := range goldenModes {
+			g, err := goldenOf(w, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Goldens = append(f.Goldens, *g)
+		}
+	}
+	b, err := json.MarshalIndent(&f, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d goldens to %s", len(f.Goldens), goldenPath)
+}
+
 func TestGoldenDigests(t *testing.T) {
-	b, err := os.ReadFile("testdata/golden_digests.json")
+	if *update {
+		writeGoldens(t)
+		return
+	}
+	b, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +145,9 @@ func TestGoldenDigests(t *testing.T) {
 	// Every workload x mode pair must be covered, so a new workload
 	// without a regenerated golden file fails loudly instead of
 	// silently going unpinned.
-	want := len(workloads.All()) * 6
+	want := len(workloads.All()) * len(goldenModes)
 	if len(f.Goldens) != want {
-		t.Errorf("golden file has %d entries, want %d (workloads x modes); regenerate with cmd/goldengen", len(f.Goldens), want)
+		t.Errorf("golden file has %d entries, want %d (workloads x modes); regenerate with -update", len(f.Goldens), want)
 	}
 	for _, g := range f.Goldens {
 		g := g
@@ -168,7 +157,7 @@ func TestGoldenDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := replay(w, Mode(g.Mode))
+			got, err := goldenOf(w, Mode(g.Mode))
 			if err != nil {
 				t.Fatal(err)
 			}

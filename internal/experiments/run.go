@@ -34,6 +34,7 @@ type Result struct {
 	Workload string
 	Mode     Mode
 	Ticks    int64
+	Steps    uint64
 	Counts   cpu.Counts
 	L1, L2   mem.Stats
 	Energy   energy.Breakdown
@@ -46,6 +47,13 @@ type Result struct {
 
 // Run executes one workload under one mode and verifies the output.
 func Run(w *workloads.Workload, mode Mode) (*Result, error) {
+	res, _, err := run(w, mode)
+	return res, err
+}
+
+// run is Run that also hands back the final machine, whose memory image
+// the golden test hashes.
+func run(w *workloads.Workload, mode Mode) (*Result, *cpu.Machine, error) {
 	res := &Result{Workload: w.Name, Mode: mode}
 	var m *cpu.Machine
 	var dsaEvents energy.DSAEvents
@@ -55,19 +63,19 @@ func Run(w *workloads.Workload, mode Mode) (*Result, error) {
 		m = cpu.MustNew(w.Scalar(), cpu.DefaultConfig())
 		w.Setup(m)
 		if err := m.Run(nil); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
+			return nil, nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
 		}
 
 	case ModeAutoVec:
 		prog, rep, err := vectorize.AutoVectorize(w.Scalar(), vectorize.Options{NoAlias: w.NoAlias})
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
+			return nil, nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
 		}
 		res.Report = rep
 		m = cpu.MustNew(prog, cpu.DefaultConfig())
 		w.Setup(m)
 		if err := m.Run(nil); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
+			return nil, nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
 		}
 
 	case ModeHand:
@@ -78,7 +86,7 @@ func Run(w *workloads.Workload, mode Mode) (*Result, error) {
 		m = cpu.MustNew(prog, cpu.DefaultConfig())
 		w.Setup(m)
 		if err := m.Run(nil); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
+			return nil, nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
 		}
 
 	case ModeDSAOrig, ModeDSAExt, ModeDSAAdaptive:
@@ -91,29 +99,30 @@ func Run(w *workloads.Workload, mode Mode) (*Result, error) {
 		}
 		s, err := dsa.NewSystem(w.Scalar(), cpu.DefaultConfig(), cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		w.Setup(s.M)
 		if err := s.Run(); err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
+			return nil, nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
 		}
 		m = s.M
 		res.DSA = s.Stats()
 		dsaEvents = s.Stats().EnergyEvents()
 
 	default:
-		return nil, fmt.Errorf("unknown mode %q", mode)
+		return nil, nil, fmt.Errorf("unknown mode %q", mode)
 	}
 
 	if err := w.Check(m); err != nil {
-		return nil, fmt.Errorf("%s/%s: verification failed: %w", w.Name, mode, err)
+		return nil, nil, fmt.Errorf("%s/%s: verification failed: %w", w.Name, mode, err)
 	}
 	res.Ticks = m.Ticks
+	res.Steps = m.Steps
 	res.Counts = m.Counts
 	res.L1 = m.Caches.L1Stats()
 	res.L2 = m.Caches.L2Stats()
 	res.Energy = energy.Compute(energy.DefaultParams(), m.Counts, res.L1, res.L2, dsaEvents)
-	return res, nil
+	return res, m, nil
 }
 
 // Suite runs every workload under every requested mode.

@@ -122,9 +122,6 @@ func (j *Journal) Pages() []uint32 {
 	return out
 }
 
-// PageSize returns the journal's copy-on-write granularity in bytes.
-func PageSize() int { return journalPageBytes }
-
 // SavedPage returns the pre-journal contents of the page at base (nil
 // when the page was never written under this journal).
 func (j *Journal) SavedPage(base uint32) []byte { return j.pages[base] }

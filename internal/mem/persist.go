@@ -14,14 +14,10 @@ import (
 // extents.
 const snapPageBytes = 4096
 
-// JournalActive reports whether a speculative undo journal is open.
-// Snapshot writers use it as a guard: serializing memory mid-journal
-// would capture half-applied speculative stores.
-func (m *Memory) JournalActive() bool { return m.journal != nil }
-
 // SaveState encodes the memory as its size plus every non-zero
-// 4 KiB page. The caller must not snapshot while a journal is active
-// (see JournalActive); doing so panics, matching BeginJournal's
+// 4 KiB page. The caller must not snapshot while a journal is active:
+// serializing memory mid-journal would capture half-applied
+// speculative stores, so doing so panics, matching BeginJournal's
 // contract that the checkpoint layer sequences these.
 func (m *Memory) SaveState(e *snapshot.Enc) {
 	if m.journal != nil {

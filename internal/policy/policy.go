@@ -169,9 +169,6 @@ func (c *Controller) Params() Params { return c.params }
 // Arm returns pc's arm, or nil if the loop was never recorded.
 func (c *Controller) Arm(pc int) *Arm { return c.arms[pc] }
 
-// Arms returns the number of tracked loops.
-func (c *Controller) Arms() int { return len(c.arms) }
-
 func (c *Controller) arm(pc int) *Arm {
 	a, ok := c.arms[pc]
 	if !ok {

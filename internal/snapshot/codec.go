@@ -58,12 +58,6 @@ func (e *Enc) Str(s string) {
 	e.b = append(e.b, s...)
 }
 
-// Blob appends a length-prefixed byte slice.
-func (e *Enc) Blob(b []byte) {
-	e.U32(uint32(len(b)))
-	e.b = append(e.b, b...)
-}
-
 // Raw appends bytes with no length prefix (fixed-width fields).
 func (e *Enc) Raw(b []byte) { e.b = append(e.b, b...) }
 
@@ -159,12 +153,6 @@ func (d *Dec) Int() int {
 func (d *Dec) Str() string {
 	n := int(d.U32())
 	return string(d.take(n))
-}
-
-// Blob reads a length-prefixed byte slice (aliasing the input buffer).
-func (d *Dec) Blob() []byte {
-	n := int(d.U32())
-	return d.take(n)
 }
 
 // Raw reads n bytes with no length prefix.
