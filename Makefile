@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check vet fmt lint race allocs fuzz verify resume-oracle bench bench-smoke batch soak soak-short serve service-smoke cluster-smoke partition-chaos ha-chaos
+.PHONY: all build test check vet fmt lint race allocs fuzz verify resume-oracle bench bench-smoke bench-selftest batch soak soak-short serve service-smoke cluster-smoke partition-chaos ha-chaos
 
 all: build test
 
@@ -144,3 +144,12 @@ bench:
 # guard that keeps the bench suite from bit-rotting between perf work.
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x ./...
+
+# bench-selftest runs the repository benchmark's own tests (bench/ is a
+# module of its own, outside ./...; about 40 s): its metric catalogue
+# against BENCHMARK.json, and two workloads untraced and traced, which
+# drive server.New the way the benchmark does and check every
+# built-in's result against the golden rows and each generated
+# program's scalar digest.
+bench-selftest:
+	cd bench && $(GO) test -short ./...

@@ -84,6 +84,7 @@ func runBatch(f batchFlags) int {
 				CPU:      cpu.DefaultConfig(),
 				DSA:      cfg,
 				DSAOff:   dsaOff,
+				Resume:   f.resume,
 			})
 		}
 	}
@@ -97,7 +98,6 @@ func runBatch(f batchFlags) int {
 		Backoff:       100 * time.Millisecond,
 		SnapshotDir:   f.snapDir,
 		SnapshotEvery: f.snapEvery,
-		Resume:        f.resume,
 	}
 	if f.memBudget > 0 {
 		opts.MemBudgetBytes = f.memBudget << 20

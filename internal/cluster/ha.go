@@ -160,15 +160,15 @@ func (n *Node) Close() {
 	n.mu.Lock()
 	c := n.lead
 	var payload *clusterState
-	var epoch, seq uint64
+	var epoch uint64
 	if c == nil && n.sb != nil && n.sb.applied > 0 {
-		payload, epoch, seq = n.sb.export(), n.sb.leaderEpoch, n.sb.lastSeq
+		payload, epoch = n.sb.export(), n.sb.leaderEpoch
 	}
 	n.mu.Unlock()
 	if c != nil {
 		c.Close()
 	} else if payload != nil {
-		if err := saveStandbyState(n.cfg.StateFile, payload, epoch, seq); err != nil {
+		if err := saveStandbyState(n.cfg.StateFile, payload, epoch); err != nil {
 			n.logf("dsasimd-ha: saving standby state: %v", err)
 		}
 	}
@@ -497,16 +497,16 @@ func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	sb.lastPush = time.Now()
 	resp := ReplicateResponse{LastSeq: sb.lastSeq, NeedSnapshot: !sb.synced}
 	var payload *clusterState
-	var epoch, seq uint64
+	var epoch uint64
 	if sb.applied != before {
-		payload, epoch, seq = sb.export(), sb.leaderEpoch, sb.lastSeq
+		payload, epoch = sb.export(), sb.leaderEpoch
 	}
 	n.mu.Unlock()
 
 	if payload != nil {
 		// Persist the mirror off-lock: it is the node's best restart
 		// state, and failures only degrade cold-start freshness.
-		if err := saveStandbyState(n.cfg.StateFile, payload, epoch, seq); err != nil {
+		if err := saveStandbyState(n.cfg.StateFile, payload, epoch); err != nil {
 			n.logf("dsasimd-ha: saving standby state: %v", err)
 		}
 	}

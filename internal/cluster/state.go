@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"encoding/json"
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/snapshot"
 )
 
 // stateSection names the one section of the coordinator's state file —
@@ -14,11 +12,6 @@ import (
 // The epoch counter is the load-bearing part: fencing only works if a
 // restarted coordinator never re-issues an epoch a zombie still holds.
 const stateSection = "dsasimd.cluster"
-
-// haSection is the extra section a standby's state file carries: which
-// leadership term the mirror belongs to and its applied replication
-// watermark, encoded with the snapshot codec.
-const haSection = "dsasimd.cluster.ha"
 
 type persistedWorker struct {
 	ID       string `json:"id"`
@@ -128,23 +121,13 @@ func (c *Coordinator) adoptStateLocked(st *clusterState) {
 	}
 }
 
-// saveStandbyState persists a standby's mirror next to where the same
-// node would keep its leader state, tagged with the term and watermark
-// it reflects — the best available starting point if the whole cluster
+// saveStandbyState persists a standby's mirror where the same node
+// would keep its leader state, stamped with the leadership term it
+// reflects — the best available starting point if the whole cluster
 // restarts cold.
-func saveStandbyState(path string, st *clusterState, leaderEpoch, lastSeq uint64) error {
+func saveStandbyState(path string, st *clusterState, leaderEpoch uint64) error {
 	if path == "" {
 		return nil
 	}
-	payload, err := json.Marshal(st)
-	if err != nil {
-		return err
-	}
-	var e snapshot.Enc
-	e.U64(leaderEpoch)
-	e.U64(lastSeq)
-	w := snapshot.Writer{Epoch: leaderEpoch}
-	w.Add(stateSection, payload)
-	w.Add(haSection, e.Bytes())
-	return w.WriteFile(path)
+	return server.WriteState(path, stateSection, leaderEpoch, st)
 }

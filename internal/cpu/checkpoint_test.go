@@ -79,28 +79,3 @@ func TestCheckpointReleaseKeepsState(t *testing.T) {
 	// A new checkpoint can open after release.
 	m.Release(m.Checkpoint())
 }
-
-func TestStoreHookSeesScalarStores(t *testing.T) {
-	prog := asm.MustParse("hook", `
-        mov   r5, #0x2000
-        mov   r0, #1
-        str   r0, [r5], #4
-        strb  r0, [r5]
-        halt
-`)
-	m := MustNew(prog, DefaultConfig())
-	var got []uint32
-	m.StoreHook = func(addr uint32, size int) { got = append(got, addr, uint32(size)) }
-	if err := m.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	want := []uint32{0x2000, 4, 0x2004, 1}
-	if len(got) != len(want) {
-		t.Fatalf("hook calls = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("hook calls = %v, want %v", got, want)
-		}
-	}
-}

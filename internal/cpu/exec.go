@@ -483,9 +483,6 @@ func (m *Machine) store(u *pInstr, rec *Record, addr uint32, wbReg uint8, wbVal 
 	m.Ticks += m.issue + m.Caches.AccessWrite(addr, size)
 	m.Counts.Stores++
 	rec.addMem(addr, size, true)
-	if m.StoreHook != nil {
-		m.StoreHook(addr, size)
-	}
 	m.Counts.Total++
 	m.PC++
 	return nil
@@ -534,9 +531,6 @@ func (m *Machine) execVector(u *pInstr, rec *Record) error {
 		nu.Stores++
 		m.Counts.VecStores++
 		rec.addMem(addr, armlite.VectorBytes, true)
-		if m.StoreHook != nil {
-			m.StoreHook(addr, armlite.VectorBytes)
-		}
 
 	case pVdup:
 		nu.Q[u.qd] = neon.Splat(u.dt, m.R[u.rn])

@@ -109,12 +109,6 @@ type Machine struct {
 	Steps  uint64
 	Counts Counts
 
-	// StoreHook, when set, is called after every committed data-memory
-	// store (scalar str and vector vst1) with its address and width —
-	// the tap the differential oracle uses to learn a scalar replay's
-	// touched-memory footprint.
-	StoreHook func(addr uint32, size int)
-
 	cfg Config
 
 	// cpFree is the single recycled Checkpoint (at most one can be
@@ -127,18 +121,12 @@ type Machine struct {
 	pcode []pInstr
 	issue int64
 
-	// Cancellation hook (SetCancelCheck). cancelLeft counts down per
-	// Step so the hook itself — typically context.Context.Err — runs
-	// only once every cancelEvery instructions; the steady-state cost
-	// is one decrement and compare.
+	// The host tap (SetCancelCheck). cancelLeft counts down per retired
+	// instruction so the callback runs only once every cancelEvery
+	// instructions; the steady-state cost is one decrement and compare.
 	cancelFn    func() error
 	cancelEvery uint64
 	cancelLeft  uint64
-
-	// runHook (SetRunHook) fires between retired instructions in the
-	// Run/runQuiet loops only — never inside Step — so snapshot writers
-	// observe the machine exclusively at step boundaries.
-	runHook func() error
 }
 
 // New builds a machine for prog. The program must validate.
@@ -188,13 +176,20 @@ func (m *Machine) Config() Config { return m.cfg }
 // that the hot path only pays a counter decrement.
 const DefaultCancelEvery = 4096
 
-// SetCancelCheck installs a cancellation hook: every `every` retired
-// instructions Step calls check, and a non-nil result aborts the run
-// with an error wrapping both ErrCanceled and check's error. Pass a
-// context's Err method to plumb deadlines and batch shutdown into the
-// step loop; pass nil to remove the hook. The countdown is independent
-// of Steps, so checkpoint rollbacks (which restore Steps) cannot
-// starve or double-fire the check.
+// SetCancelCheck installs the machine's only host tap: check runs
+// every `every` retired instructions, in Step and in both fast loops
+// (Run without an observer, RunToBackBranch), before the instruction
+// retires. Any error aborts the run with an error wrapping both
+// ErrCanceled and check's error. Pass a context's Err method to plumb
+// deadlines and batch shutdown into the step loop; pass nil to remove
+// the tap. The countdown is independent of Steps, so checkpoint
+// rollbacks (which restore Steps) cannot starve or double-fire it.
+//
+// The DSA's takeover drivers step the machine through Step, so the
+// check can fire inside a takeover with a cpu.Checkpoint open. A
+// callback that writes snapshots belongs on dsa.System.SetRunHook,
+// which fires only at engine-quiescent points; on a machine without
+// takeovers every check falls on a step boundary.
 func (m *Machine) SetCancelCheck(check func() error, every uint64) {
 	if every == 0 {
 		every = DefaultCancelEvery
@@ -223,11 +218,6 @@ func (m *Machine) Run(obs Observer) error {
 	}
 	var rec Record
 	for !m.Halted {
-		if m.runHook != nil {
-			if err := m.runHook(); err != nil {
-				return err
-			}
-		}
 		if err := m.Step(&rec); err != nil {
 			return err
 		}
@@ -244,11 +234,6 @@ func (m *Machine) Run(obs Observer) error {
 func (m *Machine) runQuiet() error {
 	var rec Record
 	for !m.Halted {
-		if m.runHook != nil {
-			if err := m.runHook(); err != nil {
-				return err
-			}
-		}
 		if m.cancelFn != nil {
 			if m.cancelLeft--; m.cancelLeft == 0 {
 				m.cancelLeft = m.cancelEvery
@@ -289,11 +274,6 @@ func (m *Machine) runQuiet() error {
 func (m *Machine) RunToBackBranch() (target, branchPC int, hit bool, err error) {
 	var rec Record
 	for !m.Halted {
-		if m.runHook != nil {
-			if err := m.runHook(); err != nil {
-				return 0, 0, false, err
-			}
-		}
 		if m.cancelFn != nil {
 			if m.cancelLeft--; m.cancelLeft == 0 {
 				m.cancelLeft = m.cancelEvery

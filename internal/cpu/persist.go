@@ -28,14 +28,6 @@ func ProgramFingerprint(p *armlite.Program) uint64 {
 	return h.Sum64()
 }
 
-// SetRunHook installs fn to run between retired instructions in Run
-// and runQuiet — the periodic-checkpoint tap. A non-nil return aborts
-// the run with that error. The hook fires only in the machine's own
-// run loops, never inside Step, so takeover drivers that step the
-// machine directly (the DSA's sentinel and conditional loops) can
-// never observe it mid-takeover.
-func (m *Machine) SetRunHook(fn func() error) { m.runHook = fn }
-
 // SaveState appends the machine's full execution state to w as the
 // meta/cpu/neon/mem/caches sections. The machine must be between
 // steps with no speculative journal open.
@@ -83,10 +75,9 @@ func (m *Machine) SaveState(w *snapshot.Writer) {
 // RestoreState rebuilds the machine's execution state from r. The
 // snapshot must have been taken from a machine running the same
 // program under the same configuration (ErrMismatch otherwise); any
-// structural damage surfaces as ErrCorrupt. Install hooks
-// (SetCancelCheck, SetRunHook) before calling RestoreState so the
-// restored cancel countdown is not clobbered by SetCancelCheck's
-// reset.
+// structural damage surfaces as ErrCorrupt. Install the host tap
+// (SetCancelCheck) before calling RestoreState so the restored
+// countdown is not clobbered by SetCancelCheck's reset.
 func (m *Machine) RestoreState(r *snapshot.Reader) error {
 	meta, err := section(r, secMeta)
 	if err != nil {

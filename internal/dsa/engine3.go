@@ -330,8 +330,6 @@ func (e *Engine) decideConditional(t *track) {
 			maxNodes = len(dag.Nodes)
 		}
 		// Base the global CID check on every pattern.
-		base := len(allPatterns)
-		_ = base
 		allPatterns = append(allPatterns, pats...)
 	}
 

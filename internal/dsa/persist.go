@@ -27,10 +27,12 @@ const (
 func (e *Engine) Quiescent() bool { return len(e.live) == 0 && e.pending == nil }
 
 // SetRunHook installs fn to run between steps of System.Run, only at
-// engine-quiescent points — the periodic-checkpoint tap. A non-nil
-// return aborts the run with that error. Takeovers are atomic with
-// respect to the hook: it can never observe an open cpu.Checkpoint or
-// a half-applied speculative window.
+// engine-quiescent points — the tap for callbacks that write
+// snapshots, such as the runner's tick. In watch mode these points
+// come at every loop back-branch, so fn should return at once when it
+// has nothing due. A non-nil return aborts the run with that error.
+// Takeovers are atomic with respect to the hook: it can never observe
+// an open cpu.Checkpoint or a half-applied speculative window.
 func (s *System) SetRunHook(fn func() error) { s.runHook = fn }
 
 // SaveState appends the full system state — machine plus engine — to

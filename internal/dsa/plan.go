@@ -504,19 +504,10 @@ func (e *Executor) runChunk(p *Plan, it, lanes int, spec *SpecBuffer, tag int, m
 // runElement executes one iteration through the single-element path
 // (NEON element loads/stores, §4.8.1).
 func (e *Executor) runElement(p *Plan, it int, spec *SpecBuffer, tag int) error {
-	if cap(e.elemVals) < len(p.nodes) {
-		e.elemVals = make([]uint32, len(p.nodes))
-	}
-	vals := e.elemVals[:len(p.nodes)]
-	for i, n := range p.nodes {
-		// p.nodes is topological, so operands already carry this call's
-		// ordinals when an expression reads them.
-		n.ord = i
-		v, err := e.evalElemAt(n, it, vals)
-		if err != nil {
-			return err
-		}
-		vals[i] = v
+	vals, err := e.evalElements(p, it)
+	// Charge what was evaluated, in node order, even when a node failed:
+	// the cache model sees exactly the accesses made before the fault.
+	for _, n := range p.nodes[:len(vals)] {
 		if n.Kind == NodeLoad {
 			pat := &e.patterns[n.Pattern]
 			e.M.Ticks += e.Lat.LeftoverElement + e.M.Caches.Access(pat.AddrAt(it), pat.Size)
@@ -525,6 +516,9 @@ func (e *Executor) runElement(p *Plan, it int, spec *SpecBuffer, tag int) error 
 			e.M.Ticks += e.M.Config().NEON.OpIssueTicks
 			e.M.Counts.VecOps++
 		}
+	}
+	if err != nil {
+		return err
 	}
 	for _, s := range p.stores {
 		pat := &e.patterns[s.Pattern]
@@ -544,56 +538,46 @@ func (e *Executor) runElement(p *Plan, it int, spec *SpecBuffer, tag int) error 
 	return nil
 }
 
-// evalElemAt is evalElement over the executor's ordinal-indexed value
-// scratch — the allocation-free form the leftover loop runs.
-func (e *Executor) evalElemAt(n *Node, it int, vals []uint32) (uint32, error) {
-	switch n.Kind {
-	case NodeLoad:
-		pat := &e.patterns[n.Pattern]
-		return e.M.Mem.Load(pat.AddrAt(it), pat.Size)
-	case NodeConstReg:
-		return e.M.R[n.Reg], nil
-	case NodeConstMem:
-		pat := &e.patterns[n.Pattern]
-		return e.M.Mem.Load(pat.AddrA, pat.Size)
-	case NodeImm:
-		return uint32(n.Imm), nil
-	case NodeExpr:
-		a := vals[n.A.ord]
-		var b uint32
-		if n.B != nil {
-			b = vals[n.B.ord]
-		}
-		return evalScalarOp(n.Op, e.elemIsFloat(n), a, b, n.Imm)
-	default:
-		return 0, fmt.Errorf("dsa: bad node kind %d", n.Kind)
+// evalElements computes every node of p for iteration it with exactly
+// the lane semantics of the vector path, into the executor's reusable
+// scratch indexed by node ordinal; it charges no time. On error it
+// returns the values of the nodes evaluated before the failing one.
+// The slice is valid until the next call.
+func (e *Executor) evalElements(p *Plan, it int) ([]uint32, error) {
+	if cap(e.elemVals) < len(p.nodes) {
+		e.elemVals = make([]uint32, len(p.nodes))
 	}
-}
-
-// evalElement computes one node for a single iteration with exactly
-// the lane semantics of the vector path.
-func (e *Executor) evalElement(n *Node, it int, vals map[*Node]uint32) (uint32, error) {
-	switch n.Kind {
-	case NodeLoad:
-		pat := &e.patterns[n.Pattern]
-		return e.M.Mem.Load(pat.AddrAt(it), pat.Size)
-	case NodeConstReg:
-		return e.M.R[n.Reg], nil
-	case NodeConstMem:
-		pat := &e.patterns[n.Pattern]
-		return e.M.Mem.Load(pat.AddrA, pat.Size)
-	case NodeImm:
-		return uint32(n.Imm), nil
-	case NodeExpr:
-		a := vals[n.A]
-		var b uint32
-		if n.B != nil {
-			b = vals[n.B]
+	vals := e.elemVals[:len(p.nodes)]
+	for i, n := range p.nodes {
+		// p.nodes is topological, so operands already carry this call's
+		// ordinals when an expression reads them.
+		n.ord = i
+		var err error
+		switch n.Kind {
+		case NodeLoad:
+			pat := &e.patterns[n.Pattern]
+			vals[i], err = e.M.Mem.Load(pat.AddrAt(it), pat.Size)
+		case NodeConstReg:
+			vals[i] = e.M.R[n.Reg]
+		case NodeConstMem:
+			pat := &e.patterns[n.Pattern]
+			vals[i], err = e.M.Mem.Load(pat.AddrA, pat.Size)
+		case NodeImm:
+			vals[i] = uint32(n.Imm)
+		case NodeExpr:
+			var b uint32
+			if n.B != nil {
+				b = vals[n.B.ord]
+			}
+			vals[i], err = evalScalarOp(n.Op, e.elemIsFloat(n), vals[n.A.ord], b, n.Imm)
+		default:
+			err = fmt.Errorf("dsa: bad node kind %d", n.Kind)
 		}
-		return evalScalarOp(n.Op, e.elemIsFloat(n), a, b, n.Imm)
-	default:
-		return 0, fmt.Errorf("dsa: bad node kind %d", n.Kind)
+		if err != nil {
+			return vals[:i], err
+		}
 	}
+	return vals, nil
 }
 
 func (e *Executor) elemIsFloat(n *Node) bool {
@@ -773,34 +757,4 @@ func (e *Executor) RunCondWindow(cv *CondVec, firstIter, lastIter int) (int, err
 		e.Stats.VectorizedIters += uint64(chunks * lanes)
 	}
 	return chunks * lanes, nil
-}
-
-// EvalElement computes one DAG node for a single iteration with lane
-// semantics against the current pattern table (exported for the
-// system's temporary-register rematerialization).
-func (e *Executor) EvalElement(n *Node, it int) (uint32, error) {
-	vals := make(map[*Node]uint32)
-	var walk func(n *Node) (uint32, error)
-	walk = func(n *Node) (uint32, error) {
-		if v, ok := vals[n]; ok {
-			return v, nil
-		}
-		if n.A != nil {
-			if _, err := walk(n.A); err != nil {
-				return 0, err
-			}
-		}
-		if n.B != nil {
-			if _, err := walk(n.B); err != nil {
-				return 0, err
-			}
-		}
-		v, err := e.evalElement(n, it, vals)
-		if err != nil {
-			return 0, err
-		}
-		vals[n] = v
-		return v, nil
-	}
-	return walk(n)
 }

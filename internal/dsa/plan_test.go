@@ -237,7 +237,8 @@ func TestSpecBufferGroupedCost(t *testing.T) {
 	}
 }
 
-// TestEvalElement: scalar DAG evaluation matches the lane math.
+// TestEvalElement: scalar evaluation of a plan's nodes matches the
+// lane math.
 func TestEvalElement(t *testing.T) {
 	e := execEnv(t)
 	patterns := []MemPattern{mkPattern(0, false, 0x1000)}
@@ -246,12 +247,13 @@ func TestEvalElement(t *testing.T) {
 	load := &Node{Kind: NodeLoad, Pattern: 0}
 	imm := &Node{Kind: NodeImm, Imm: 5}
 	expr := &Node{Kind: NodeExpr, Op: armlite.OpMul, A: load, B: imm}
+	plan := &Plan{nodes: []*Node{load, imm, expr}}
 	// Pattern anchored at iteration 2 → iteration 3 reads word 1 (20).
-	v, err := e.EvalElement(expr, 3)
+	vals, err := e.evalElements(plan, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 100 {
-		t.Errorf("EvalElement = %d, want 100", v)
+	if v := vals[expr.ord]; v != 100 {
+		t.Errorf("element value = %d, want 100", v)
 	}
 }

@@ -362,12 +362,12 @@ func (s *System) runSentinel(req *Request) error {
 			return nil // every action iteration ran scalar pre-takeover
 		}
 		s.X.SetPatterns(a.Patterns)
+		vals, err := s.X.evalElements(a.plan, lastActionIter)
+		if err != nil {
+			return err
+		}
 		for r, node := range sent.RegOut {
-			v, err := s.X.EvalElement(node, lastActionIter)
-			if err != nil {
-				return err
-			}
-			s.M.R[r] = v
+			s.M.R[r] = vals[node.ord]
 		}
 		return nil
 	}

@@ -90,11 +90,14 @@ func buildSim(w *workloads.Workload, mode Mode) (*sim, error) {
 	}
 }
 
+// setHook installs the kill hook: at the system's quiescent points, or
+// on a bare machine's host tap checked every step, so the kill lands
+// exactly at the requested step.
 func (s *sim) setHook(fn func() error) {
 	if s.sys != nil {
 		s.sys.SetRunHook(fn)
 	} else {
-		s.m.SetRunHook(fn)
+		s.m.SetCancelCheck(fn, 1)
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cpu"
-	"repro/internal/dsa"
 	"repro/internal/snapshot"
 )
 
@@ -20,8 +18,8 @@ import (
 const DefaultSnapshotEvery = 5_000_000
 
 // DefaultSnapshotInterval is the wall-clock interval between periodic
-// checkpoints when Options.SnapshotInterval is zero — a checkpoint is
-// written when *either* threshold is crossed.
+// checkpoints — a checkpoint is written when *either* it or the step
+// interval is crossed, so a slow job stays durable.
 const DefaultSnapshotInterval = 30 * time.Second
 
 // checkpointer owns one job's snapshot files: it decides when a
@@ -44,7 +42,6 @@ type checkpointer struct {
 	path  string // this attempt's write target
 
 	everySteps uint64
-	interval   time.Duration
 
 	lastSteps uint64
 	lastWall  time.Time
@@ -66,7 +63,6 @@ func newCheckpointer(job Job, opts Options) *checkpointer {
 		owner:      opts.SnapshotOwner,
 		epoch:      job.Epoch,
 		everySteps: opts.SnapshotEvery,
-		interval:   opts.SnapshotInterval,
 	}
 	if ck.owner == "" {
 		ck.path = filepath.Join(ck.dir, ck.base+".dsnp")
@@ -75,9 +71,6 @@ func newCheckpointer(job Job, opts Options) *checkpointer {
 	}
 	if ck.everySteps == 0 {
 		ck.everySteps = DefaultSnapshotEvery
-	}
-	if ck.interval == 0 {
-		ck.interval = DefaultSnapshotInterval
 	}
 	return ck
 }
@@ -94,28 +87,28 @@ func snapshotFileName(jobName string) string {
 	return snapshotBase(jobName) + ".dsnp"
 }
 
-// hook returns the run-hook closure for one attempt: it fires between
-// steps (at quiescent points for DSA systems), checks whether a
-// checkpoint is due by steps or wall clock, and saves. steps reads the
-// machine's current step counter; save serializes the full state.
-func (ck *checkpointer) hook(steps func() uint64, save func(w *snapshot.Writer) error) func() error {
-	ck.lastSteps = steps()
-	ck.lastWall = time.Now()
-	ck.save = save
-	return func() error {
-		if ck.disabled {
-			return nil
-		}
-		now := steps()
-		if now-ck.lastSteps < ck.everySteps && time.Since(ck.lastWall) < ck.interval {
-			return nil
-		}
-		if !ck.saveNow() {
-			return nil
-		}
-		ck.lastSteps = now
-		ck.lastWall = time.Now()
-		return nil
+// arm points the checkpointer at one attempt: save serializes the
+// attempt's simulation, and the periodic cadence restarts at steps.
+func (ck *checkpointer) arm(steps uint64, save func(w *snapshot.Writer) error) {
+	if ck == nil {
+		return
+	}
+	ck.lastSteps, ck.lastWall, ck.save = steps, time.Now(), save
+}
+
+// maybeSave writes a checkpoint if one is due: everySteps steps or
+// DefaultSnapshotInterval of wall time since the last one. The tick
+// calls it at a step boundary; it reads the clock once per call.
+func (ck *checkpointer) maybeSave(steps uint64) {
+	if ck == nil || ck.disabled {
+		return
+	}
+	now := time.Now()
+	if steps-ck.lastSteps < ck.everySteps && now.Sub(ck.lastWall) < DefaultSnapshotInterval {
+		return
+	}
+	if ck.saveNow() {
+		ck.lastSteps, ck.lastWall = steps, now
 	}
 }
 
@@ -146,13 +139,13 @@ func (ck *checkpointer) disable(err error) {
 	}
 }
 
-// restore loads the last good checkpoint into the restorer. It returns
-// (resumedFromStep, "") on success and (0, note) when no resume was
-// possible — the note attributes why the run restarts from zero
-// (missing file, corruption class, version skew, epoch skew,
-// mismatch). A bad file is deleted so the next attempt does not trip
-// over it again, and the caller MUST rebuild its machine from scratch:
-// a failed restore may have partially overwritten state.
+// restore loads the last good checkpoint through restoreFn. It returns
+// "" when it resumed or found no checkpoint, and otherwise a note that
+// attributes why the run restarts from zero (corruption class, version
+// skew, epoch skew, mismatch). A bad file is deleted so the next
+// attempt does not trip over it again, and the caller MUST rebuild its
+// simulation from scratch: a failed restore may have partially
+// overwritten state.
 //
 // In owner/epoch mode the candidate set is every checkpoint of this
 // job in the shared directory with an epoch at or below this
@@ -161,20 +154,20 @@ func (ck *checkpointer) disable(err error) {
 // high-epoch file falls through to the predecessor, and exactly one
 // restoreFn call ever runs). After a successful restore, stale
 // lower-epoch leftovers are deleted.
-func (ck *checkpointer) restore(restoreFn func(r *snapshot.Reader) error, steps func() uint64) (uint64, string) {
+func (ck *checkpointer) restore(restoreFn func(r *snapshot.Reader) error) string {
 	path, rd, cause := ck.pickSnapshot()
 	if rd == nil {
 		if cause != "" {
-			return 0, "restart-from-zero: " + cause
+			return "restart-from-zero: " + cause
 		}
-		return 0, ""
+		return ""
 	}
 	if err := restoreFn(rd); err != nil {
 		os.Remove(path)
-		return 0, "restart-from-zero: " + restoreCause(err)
+		return "restart-from-zero: " + restoreCause(err)
 	}
 	ck.pruneStale(path)
-	return steps(), ""
+	return ""
 }
 
 // pickSnapshot selects the checkpoint to resume from. It returns a
@@ -305,37 +298,6 @@ func (ck *checkpointer) cleanup() {
 	for _, c := range ck.candidates() {
 		os.Remove(filepath.Join(ck.dir, c.name))
 	}
-}
-
-// machineHook wires a scalar machine's serializer into the
-// checkpointer and returns the periodic hook for the attempt's chain.
-func (ck *checkpointer) machineHook(m *cpu.Machine) func() error {
-	return ck.hook(
-		func() uint64 { return m.Steps },
-		func(w *snapshot.Writer) error { m.SaveState(w); return nil },
-	)
-}
-
-// systemHook wires a DSA system's serializer into the checkpointer;
-// the system calls the hook only at engine-quiescent points, so a due
-// checkpoint mid-analysis is postponed a few steps.
-func (ck *checkpointer) systemHook(sys *dsa.System) func() error {
-	return ck.hook(
-		func() uint64 { return sys.M.Steps },
-		sys.SaveState,
-	)
-}
-
-// resumeMachine tries to restore a scalar machine from the last good
-// checkpoint. On failure the machine must be rebuilt by the caller.
-func (ck *checkpointer) resumeMachine(m *cpu.Machine) (uint64, string) {
-	return ck.restore(m.RestoreState, func() uint64 { return m.Steps })
-}
-
-// resumeSystem tries to restore a DSA system from the last good
-// checkpoint. On failure the system must be rebuilt by the caller.
-func (ck *checkpointer) resumeSystem(sys *dsa.System) (uint64, string) {
-	return ck.restore(sys.RestoreState, func() uint64 { return sys.M.Steps })
 }
 
 // note renders the checkpointer's non-fatal trouble (a disabled save)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/dsa"
 )
 
@@ -42,12 +43,12 @@ func TestRetryResumeDegradeAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	job.Resume = true
 	rep := Run(context.Background(), []Job{job}, Options{
 		Workers:       1,
 		Retries:       1,
 		SnapshotDir:   dir,
 		SnapshotEvery: 1000,
-		Resume:        true,
 	})
 	r := rep.Results[0]
 
@@ -79,79 +80,106 @@ func TestRetryResumeDegradeAttribution(t *testing.T) {
 }
 
 // TestPoolDrainAndResume drives the daemon's crash-recovery story at
-// the runner level: Drain stops a running job at a step boundary with
-// a final checkpoint, and a fresh pool resumes it to the bit-identical
-// result of an uninterrupted run.
+// the runner level, for a DSA job and a DSA-off one: Drain stops a
+// running job at a step boundary with a final checkpoint, and a fresh
+// pool resumes it to the bit-identical result of an uninterrupted run.
 func TestPoolDrainAndResume(t *testing.T) {
-	job := snapshotTestJob(t)
-	ref := referenceResult(t, job)
-	dir := t.TempDir()
+	forEachMode(t, func(t *testing.T, job Job) {
+		ref := referenceResult(t, job)
+		dir := t.TempDir()
 
-	// Drain from inside the progress callback: it runs on the attempt's
-	// own goroutine before stepping resumes, so the very next drain-hook
-	// check observes the flag — the interruption is deterministic, the
-	// job can never win a race to the finish line.
-	var p *Pool
-	var mu sync.Mutex
-	var samples []Progress
-	opts := Options{
-		Workers:       1,
-		SnapshotDir:   dir,
-		ProgressEvery: 1000,
-		OnProgress: func(pr Progress) {
-			mu.Lock()
-			samples = append(samples, pr)
-			mu.Unlock()
-			if pr.Steps > 5000 {
-				p.Drain()
+		// Drain from inside the progress callback: it runs on the
+		// attempt's own goroutine before stepping resumes, so the very
+		// next tick observes the flag — the interruption is
+		// deterministic, the job can never win a race to the finish
+		// line.
+		var p *Pool
+		var mu sync.Mutex
+		var samples []Progress
+		opts := Options{
+			Workers:       1,
+			SnapshotDir:   dir,
+			ProgressEvery: 1000,
+			OnProgress: func(pr Progress) {
+				mu.Lock()
+				samples = append(samples, pr)
+				mu.Unlock()
+				if pr.Steps > 5000 {
+					p.Drain()
+				}
+			},
+		}
+
+		p = NewPool(opts)
+		r := p.Do(context.Background(), job)
+		p.Close()
+
+		if r.Status != StatusFailed || r.Cause != CauseDrained {
+			t.Fatalf("drained job: status %s cause %q (err %v), want failed/%s", r.Status, r.Cause, r.Err, CauseDrained)
+		}
+		path := filepath.Join(dir, snapshotFileName(job.Name))
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("drain left no checkpoint: %v", err)
+		}
+
+		// Progress samples must belong to this job, attempt 1, with
+		// non-decreasing step counts.
+		mu.Lock()
+		if len(samples) == 0 {
+			t.Fatal("no progress samples")
+		}
+		var lastSteps uint64
+		for _, s := range samples {
+			if s.Job != job.Name || s.Attempt != 1 || s.DSAOff != job.DSAOff {
+				t.Fatalf("sample %+v, want job %q attempt 1 DSAOff %v", s, job.Name, job.DSAOff)
 			}
-		},
-	}
-
-	p = NewPool(opts)
-	r := p.Do(context.Background(), job)
-	p.Close()
-
-	if r.Status != StatusFailed || r.Cause != CauseDrained {
-		t.Fatalf("drained job: status %s cause %q (err %v), want failed/%s", r.Status, r.Cause, r.Err, CauseDrained)
-	}
-	path := filepath.Join(dir, snapshotFileName(job.Name))
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("drain left no checkpoint: %v", err)
-	}
-
-	// Progress samples must belong to this job, attempt 1, with
-	// non-decreasing step counts.
-	mu.Lock()
-	if len(samples) == 0 {
-		t.Fatal("no progress samples")
-	}
-	var lastSteps uint64
-	for _, s := range samples {
-		if s.Job != job.Name || s.Attempt != 1 || s.DSAOff {
-			t.Fatalf("sample %+v, want job %q attempt 1 dsa-on", s, job.Name)
+			if s.Steps < lastSteps {
+				t.Fatalf("progress steps went backwards: %d after %d", s.Steps, lastSteps)
+			}
+			lastSteps = s.Steps
 		}
-		if s.Steps < lastSteps {
-			t.Fatalf("progress steps went backwards: %d after %d", s.Steps, lastSteps)
-		}
-		lastSteps = s.Steps
-	}
-	mu.Unlock()
+		mu.Unlock()
 
-	// A fresh pool resumes the drained job bit-identically.
-	resumed := job
-	resumed.Resume = true
-	p2 := NewPool(Options{Workers: 1, SnapshotDir: dir})
-	defer p2.Close()
-	r2 := p2.Do(context.Background(), resumed)
-	if r2.Status != StatusOK {
-		t.Fatalf("resumed job: %+v (err %v)", r2, r2.Err)
-	}
-	if r2.ResumedFromStep == 0 {
-		t.Error("resumed job restarted from zero, want resume from the drain checkpoint")
-	}
-	if r2.MemSum != ref.MemSum || r2.Ticks != ref.Ticks || r2.Steps != ref.Steps {
-		t.Errorf("resumed result diverged: mem %016x ticks %d steps %d, want mem %016x ticks %d steps %d",
-			r2.MemSum, r2.Ticks, r2.Steps, ref.MemSum, ref.Ticks, ref.Steps)
-	}
+		// A fresh pool resumes the drained job bit-identically.
+		resumed := job
+		resumed.Resume = true
+		p2 := NewPool(Options{Workers: 1, SnapshotDir: dir})
+		defer p2.Close()
+		r2 := p2.Do(context.Background(), resumed)
+		if r2.Status != StatusOK {
+			t.Fatalf("resumed job: %+v (err %v)", r2, r2.Err)
+		}
+		if r2.ResumedFromStep == 0 {
+			t.Error("resumed job restarted from zero, want resume from the drain checkpoint")
+		}
+		if r2.MemSum != ref.MemSum || r2.Ticks != ref.Ticks || r2.Steps != ref.Steps {
+			t.Errorf("resumed result diverged: mem %016x ticks %d steps %d, want mem %016x ticks %d steps %d",
+				r2.MemSum, r2.Ticks, r2.Steps, ref.MemSum, ref.Ticks, ref.Steps)
+		}
+	})
+}
+
+// TestTickCadence: an attempt's tick acts at most once per
+// cpu.DefaultCancelEvery steps, so even ProgressEvery: 1 yields samples
+// at least that far apart — on the machine's countdown for a DSA-off
+// job, at the engine's quiescent points for a DSA one.
+func TestTickCadence(t *testing.T) {
+	forEachMode(t, func(t *testing.T, job Job) {
+		var steps []uint64
+		p := NewPool(Options{Workers: 1, ProgressEvery: 1, OnProgress: func(pr Progress) {
+			steps = append(steps, pr.Steps)
+		}})
+		defer p.Close()
+		if r := p.Do(context.Background(), job); r.Status != StatusOK {
+			t.Fatalf("job: %+v (err %v)", r, r.Err)
+		}
+		if len(steps) < 2 {
+			t.Fatalf("%d progress samples, want several", len(steps))
+		}
+		for i := 1; i < len(steps); i++ {
+			if d := steps[i] - steps[i-1]; d < cpu.DefaultCancelEvery {
+				t.Fatalf("samples %d and %d are %d steps apart, want at least %d", i-1, i, d, cpu.DefaultCancelEvery)
+			}
+		}
+	})
 }

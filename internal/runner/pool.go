@@ -6,6 +6,10 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/cpu"
+	"repro/internal/dsa"
+	"repro/internal/snapshot"
 )
 
 // ErrDrained marks an attempt stopped by Pool.Drain: the attempt wrote
@@ -32,8 +36,8 @@ const CauseDrained = "drained"
 const CauseRevoked = "revoked"
 
 // Progress is a live sample of one running attempt, emitted through
-// Options.OnProgress from the attempt's own goroutine at step
-// boundaries (engine-quiescent points for DSA systems).
+// Options.OnProgress from the attempt's own goroutine by its tick, at a
+// step boundary (an engine-quiescent point for DSA systems).
 type Progress struct {
 	// Job is the job's name (the service uses job IDs here).
 	Job string
@@ -68,10 +72,6 @@ type Pool struct {
 	draining atomic.Bool
 	inflight atomic.Int64
 
-	// revGen counts Revoke calls; the per-attempt hook rechecks the
-	// revocation set only when it moves, keeping the per-step cost of
-	// an idle revocation surface to one atomic load.
-	revGen  atomic.Uint64
 	revMu   sync.Mutex
 	revoked map[string]struct{}
 }
@@ -119,11 +119,12 @@ func (p *Pool) Do(ctx context.Context, job Job) Result {
 	p.revMu.Unlock()
 	p.inflight.Add(1)
 	defer p.inflight.Add(-1)
-	return runJob(ctx, job, p.opts, p)
+	return runJob(ctx, p, job)
 }
 
-// Revoke asks the named job's running attempt to stop at its next step
-// boundary after writing a final checkpoint, unwinding with
+// Revoke asks the named job's running attempt to stop within one tick
+// (cpu.DefaultCancelEvery steps) after writing a final checkpoint at
+// that step boundary, unwinding with
 // Status failed / Cause CauseRevoked and its snapshot kept — the
 // drain semantics, scoped to one job. A cluster worker calls it when
 // the coordinator withdraws an assignment or when the worker's own
@@ -133,7 +134,6 @@ func (p *Pool) Revoke(jobName string) {
 	p.revMu.Lock()
 	p.revoked[jobName] = struct{}{}
 	p.revMu.Unlock()
-	p.revGen.Add(1)
 }
 
 func (p *Pool) isRevoked(jobName string) bool {
@@ -143,8 +143,9 @@ func (p *Pool) isRevoked(jobName string) bool {
 	return ok
 }
 
-// Drain asks every running attempt to stop at its next step boundary
-// after writing a final checkpoint (when checkpointing is on). Drained
+// Drain asks every running attempt to stop within one tick
+// (cpu.DefaultCancelEvery steps) after writing a final checkpoint at
+// that step boundary (when checkpointing is on). Drained
 // jobs return with Status failed / Cause CauseDrained and keep their
 // snapshot files, so a later pool (or daemon restart) resumes them.
 // Drain does not block; callers wait on their own Do calls.
@@ -174,83 +175,120 @@ func (p *Pool) MemUsage() (inUse, capacity int64) {
 // Do finish normally; new Do calls after Close are a caller bug.
 func (p *Pool) Close() { p.stop() }
 
-// drainHook returns the hook that turns a pool drain — or a revocation
-// of this job's lease — into a clean attempt stop: force a final
-// checkpoint, then unwind with ErrDrained/ErrRevoked. Nil when the
-// attempt runs outside a pool (plain Run batches drain via context
-// cancellation instead). The revocation set is rechecked only when the
-// pool's revocation generation moves, so the steady-state per-step
-// cost is two atomic loads.
-func (p *Pool) drainHook(ck *checkpointer, jobName string) func() error {
-	if p == nil {
-		return nil
-	}
-	var seenGen uint64
-	return func() error {
-		if p.draining.Load() {
-			ck.saveNow()
-			return ErrDrained
-		}
-		if g := p.revGen.Load(); g != seenGen {
-			seenGen = g
-			if p.isRevoked(jobName) {
-				ck.saveNow()
-				return ErrRevoked
-			}
-		}
-		return nil
-	}
+// tick is one attempt's supervisor, the only way the attempt talks to
+// its running simulation. It acts at most once per
+// cpu.DefaultCancelEvery steps, and then, in order:
+//
+//  1. on a pool drain, writes a final checkpoint and returns ErrDrained;
+//  2. on a revoked lease, writes a final checkpoint and returns
+//     ErrRevoked;
+//  3. writes a periodic checkpoint if one is due;
+//  4. emits a progress sample if one is due.
+//
+// A Drain or Revoke called from OnProgress is therefore seen at the
+// next tick, deterministically.
+type tick struct {
+	p       *Pool
+	ck      *checkpointer // nil without checkpointing
+	job     string
+	attempt int
+
+	m   *cpu.Machine
+	sys *dsa.System // nil for DSA-off runs
+
+	// last and lastProgress are the step counts at which the tick last
+	// acted and last emitted a progress sample.
+	last, lastProgress uint64
 }
 
-// progressHook samples the attempt's counters every ProgressEvery
-// steps and hands them to OnProgress. stats is nil for scalar runs.
-func progressHook(opts Options, job string, attempt int, dsaOff bool,
-	steps func() uint64, ticks func() int64, stats func() (takeovers, fallbacks uint64)) func() error {
-	if opts.OnProgress == nil {
+// build makes a fresh simulation for the attempt — the job's machine,
+// inside a DSA system unless dsaOff, with the workload's input laid
+// out — and installs the tick on it. A DSA-off machine runs the tick
+// on its cancellation countdown, after ctx.Err: without takeovers it
+// checks only at step boundaries, every cpu.DefaultCancelEvery steps.
+// A DSA system runs it at engine-quiescent points, and the machine's
+// check is ctx.Err alone.
+func (t *tick) build(ctx context.Context, job Job, dsaOff bool) (err error) {
+	t.sys = nil
+	if dsaOff {
+		t.m, err = cpu.New(job.Workload.Scalar(), job.CPU)
+	} else if t.sys, err = dsa.NewSystem(job.Workload.Scalar(), job.CPU, job.DSA); err == nil {
+		t.m = t.sys.M
+	}
+	if err != nil {
+		return err
+	}
+	job.Workload.Setup(t.m)
+	if t.sys != nil {
+		t.m.SetCancelCheck(ctx.Err, 0)
+		t.sys.SetRunHook(t.run)
 		return nil
 	}
-	every := opts.ProgressEvery
-	if every == 0 {
-		every = DefaultProgressEvery
-	}
-	last := steps()
-	return func() error {
-		now := steps()
-		if now-last < every {
-			return nil
+	t.m.SetCancelCheck(func() error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		last = now
-		p := Progress{Job: job, Attempt: attempt, DSAOff: dsaOff, Steps: now, Ticks: ticks()}
-		if stats != nil {
-			p.Takeovers, p.Fallbacks = stats()
-		}
-		opts.OnProgress(p)
-		return nil
-	}
+		return t.act()
+	}, 0)
+	return nil
 }
 
-// chainHooks composes run hooks in order, skipping nils; the first
-// error stops the chain (and the run).
-func chainHooks(hooks ...func() error) func() error {
-	live := hooks[:0]
-	for _, h := range hooks {
-		if h != nil {
-			live = append(live, h)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	chain := append([]func() error(nil), live...)
-	return func() error {
-		for _, h := range chain {
-			if err := h(); err != nil {
-				return err
-			}
-		}
+// arm starts the tick's cadences, and the checkpointer's, at the
+// simulation's current step: zero, or the step a resume restored.
+func (t *tick) arm() {
+	t.last, t.lastProgress = t.m.Steps, t.m.Steps
+	t.ck.arm(t.m.Steps, t.save)
+}
+
+// save serializes the whole simulation: machine-only sections for a
+// DSA-off run, machine plus engine otherwise.
+func (t *tick) save(w *snapshot.Writer) error {
+	if t.sys == nil {
+		t.m.SaveState(w)
 		return nil
 	}
+	return t.sys.SaveState(w)
+}
+
+// restore loads a checkpoint into the simulation.
+func (t *tick) restore(r *snapshot.Reader) error {
+	if t.sys == nil {
+		return t.m.RestoreState(r)
+	}
+	return t.sys.RestoreState(r)
+}
+
+// run is act for a DSA system's quiescent points, which come at every
+// loop back-branch: it returns at once until cpu.DefaultCancelEvery
+// steps have passed since the tick last acted.
+func (t *tick) run() error {
+	if t.m.Steps-t.last < cpu.DefaultCancelEvery {
+		return nil
+	}
+	return t.act()
+}
+
+// act does the tick's work (see tick) at a step boundary.
+func (t *tick) act() error {
+	steps := t.m.Steps
+	t.last = steps
+	if t.p.draining.Load() {
+		t.ck.saveNow()
+		return ErrDrained
+	}
+	if t.p.isRevoked(t.job) {
+		t.ck.saveNow()
+		return ErrRevoked
+	}
+	t.ck.maybeSave(steps)
+	if opts := &t.p.opts; opts.OnProgress != nil && steps-t.lastProgress >= opts.ProgressEvery {
+		t.lastProgress = steps
+		pr := Progress{Job: t.job, Attempt: t.attempt, DSAOff: t.sys == nil, Steps: steps, Ticks: t.m.Ticks}
+		if t.sys != nil {
+			st := t.sys.Stats()
+			pr.Takeovers, pr.Fallbacks = st.Takeovers, st.Fallbacks
+		}
+		opts.OnProgress(pr)
+	}
+	return nil
 }

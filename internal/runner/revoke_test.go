@@ -64,7 +64,7 @@ func writeOwnedCheckpoint(t *testing.T, job Job, dir, owner string, epoch uint64
 
 // revokeMidRun runs job on a pool with the given owner and revokes its
 // lease from the progress callback (deterministic: the callback runs on
-// the attempt's goroutine, so the next drain-hook check observes it).
+// the attempt's goroutine, so the next tick observes it).
 func revokeMidRun(t *testing.T, job Job, dir, owner string) Result {
 	t.Helper()
 	var p *Pool
@@ -83,54 +83,56 @@ func revokeMidRun(t *testing.T, job Job, dir, owner string) Result {
 	return p.Do(context.Background(), job)
 }
 
-// TestPoolRevokeAndTakeover is the runner half of a cluster takeover:
-// Revoke stops the attempt at a step boundary with a final checkpoint
-// under the old owner's name and epoch, classified CauseRevoked (never
-// retried or degraded); a different owner at a higher epoch then
-// resumes that checkpoint to the bit-identical result of an
-// uninterrupted run, and its success cleans every leftover file up.
+// TestPoolRevokeAndTakeover is the runner half of a cluster takeover,
+// for a DSA job and a DSA-off one: Revoke stops the attempt at a step
+// boundary with a final checkpoint under the old owner's name and
+// epoch, classified CauseRevoked (never retried or degraded); a
+// different owner at a higher epoch then resumes that checkpoint to
+// the bit-identical result of an uninterrupted run, and its success
+// cleans every leftover file up.
 func TestPoolRevokeAndTakeover(t *testing.T) {
-	job := snapshotTestJob(t)
-	ref := referenceResult(t, job)
-	dir := t.TempDir()
+	forEachMode(t, func(t *testing.T, job Job) {
+		ref := referenceResult(t, job)
+		dir := t.TempDir()
 
-	job.Epoch = 3
-	r := revokeMidRun(t, job, dir, "w1")
-	if r.Status != StatusFailed || r.Cause != CauseRevoked {
-		t.Fatalf("revoked job: status %s cause %q (err %v), want failed/%s", r.Status, r.Cause, r.Err, CauseRevoked)
-	}
-	if r.Degraded {
-		t.Error("revoked job was degraded; revocation must not trigger the DSA-off rung")
-	}
-	old := ownedSnapshotPath(dir, job.Name, "w1", 3)
-	if _, err := os.Stat(old); err != nil {
-		t.Fatalf("revoke left no checkpoint at %s: %v", old, err)
-	}
+		job.Epoch = 3
+		r := revokeMidRun(t, job, dir, "w1")
+		if r.Status != StatusFailed || r.Cause != CauseRevoked {
+			t.Fatalf("revoked job: status %s cause %q (err %v), want failed/%s", r.Status, r.Cause, r.Err, CauseRevoked)
+		}
+		if r.Degraded {
+			t.Error("revoked job was degraded; revocation must not trigger the DSA-off rung")
+		}
+		old := ownedSnapshotPath(dir, job.Name, "w1", 3)
+		if _, err := os.Stat(old); err != nil {
+			t.Fatalf("revoke left no checkpoint at %s: %v", old, err)
+		}
 
-	// Takeover: new owner, bumped fencing epoch.
-	resumed := job
-	resumed.Epoch = 4
-	resumed.Resume = true
-	p2 := NewPool(Options{Workers: 1, SnapshotDir: dir, SnapshotOwner: "w2"})
-	defer p2.Close()
-	r2 := p2.Do(context.Background(), resumed)
-	if r2.Status != StatusOK {
-		t.Fatalf("takeover run: %+v (err %v)", r2, r2.Err)
-	}
-	if r2.ResumedFromStep == 0 {
-		t.Error("takeover restarted from zero, want resume from the revoked owner's checkpoint")
-	}
-	if r2.ResumeNote != "" {
-		t.Errorf("ResumeNote = %q, want clean resume", r2.ResumeNote)
-	}
-	if r2.MemSum != ref.MemSum || r2.Ticks != ref.Ticks || r2.Steps != ref.Steps {
-		t.Errorf("takeover diverged: mem %016x ticks %d steps %d, want mem %016x ticks %d steps %d",
-			r2.MemSum, r2.Ticks, r2.Steps, ref.MemSum, ref.Ticks, ref.Steps)
-	}
-	// Success removes this job's checkpoints at or below our epoch.
-	for _, p := range remainingSnapshots(t, dir, job.Name) {
-		t.Errorf("leftover checkpoint after successful takeover: %s", p)
-	}
+		// Takeover: new owner, bumped fencing epoch.
+		resumed := job
+		resumed.Epoch = 4
+		resumed.Resume = true
+		p2 := NewPool(Options{Workers: 1, SnapshotDir: dir, SnapshotOwner: "w2"})
+		defer p2.Close()
+		r2 := p2.Do(context.Background(), resumed)
+		if r2.Status != StatusOK {
+			t.Fatalf("takeover run: %+v (err %v)", r2, r2.Err)
+		}
+		if r2.ResumedFromStep == 0 {
+			t.Error("takeover restarted from zero, want resume from the revoked owner's checkpoint")
+		}
+		if r2.ResumeNote != "" {
+			t.Errorf("ResumeNote = %q, want clean resume", r2.ResumeNote)
+		}
+		if r2.MemSum != ref.MemSum || r2.Ticks != ref.Ticks || r2.Steps != ref.Steps {
+			t.Errorf("takeover diverged: mem %016x ticks %d steps %d, want mem %016x ticks %d steps %d",
+				r2.MemSum, r2.Ticks, r2.Steps, ref.MemSum, ref.Ticks, ref.Steps)
+		}
+		// Success removes this job's checkpoints at or below our epoch.
+		for _, p := range remainingSnapshots(t, dir, job.Name) {
+			t.Errorf("leftover checkpoint after successful takeover: %s", p)
+		}
+	})
 }
 
 // TestRestorePrefersHighestEpoch: with several owners' checkpoints of

@@ -7,8 +7,8 @@
 //
 //  1. Run the job with its configured DSA, under a per-attempt
 //     context deadline plumbed into the cpu step loop (checked every
-//     CancelEvery instructions) and a panic guard that converts a
-//     crashing job into an attributed failure.
+//     cpu.DefaultCancelEvery instructions) and a panic guard that
+//     converts a crashing job into an attributed failure.
 //  2. On a fault-shaped failure (injected fault, divergence, guard
 //     trip, panic, wrong output, blown deadline) retry up to Retries
 //     times with exponential backoff.
@@ -69,9 +69,12 @@ type Job struct {
 	DSAOff bool
 	// Timeout overrides Options.Timeout for this job (0 = inherit).
 	Timeout time.Duration
-	// Resume lets this job's first attempt restore from a pre-existing
-	// checkpoint even when Options.Resume is off — the service daemon
-	// sets it per job when re-enqueueing work interrupted by a drain.
+	// Resume lets this job's first attempt restore from a checkpoint
+	// left by a previous run. Without it, a pre-existing snapshot file
+	// is ignored (and overwritten); retries within this run resume from
+	// their own checkpoints regardless. The service daemon sets it when
+	// re-enqueueing work interrupted by a drain, dsasim -batch -resume
+	// on every job.
 	Resume bool
 	// Epoch is the lease epoch (fencing token) of this assignment,
 	// stamped into every checkpoint the job writes. Restore considers
@@ -94,9 +97,6 @@ type Options struct {
 	// Backoff is the sleep before the first retry, doubling per
 	// attempt (0 = no backoff).
 	Backoff time.Duration
-	// CancelEvery is the step interval of the in-loop deadline check
-	// (0 = cpu.DefaultCancelEvery).
-	CancelEvery uint64
 	// MemBudgetBytes caps the summed footprint of in-flight jobs
 	// (0 = DefaultMemBudgetBytes, < 0 = unlimited).
 	MemBudgetBytes int64
@@ -112,12 +112,11 @@ type Options struct {
 	// failed job's last checkpoint is kept for post-mortem resume.
 	SnapshotDir string
 	// SnapshotEvery is the step interval between checkpoints
-	// (0 = DefaultSnapshotEvery).
+	// (0 = DefaultSnapshotEvery); a checkpoint is also written once
+	// DefaultSnapshotInterval of wall time has passed. Both are
+	// honoured at tick granularity: values below
+	// cpu.DefaultCancelEvery act as cpu.DefaultCancelEvery.
 	SnapshotEvery uint64
-	// SnapshotInterval is the wall-clock interval between checkpoints
-	// (0 = DefaultSnapshotInterval); a checkpoint is written when
-	// either threshold is crossed.
-	SnapshotInterval time.Duration
 	// SnapshotOwner, when non-empty, namespaces checkpoint files by
 	// this owner ID and each job's lease epoch
 	// ("<job>.<owner>.e<epoch>.dsnp"), so multiple worker processes
@@ -125,17 +124,13 @@ type Options struct {
 	// for the highest-epoch valid checkpoint of the job (the cluster
 	// takeover path). Empty keeps the single-owner "<job>.dsnp" naming.
 	SnapshotOwner string
-	// Resume lets the *first* attempt of each job restore from a
-	// checkpoint left by a previous batch run. Without it, pre-existing
-	// snapshot files are ignored (and overwritten); retries within this
-	// run resume from their own checkpoints regardless.
-	Resume bool
 	// OnProgress, when non-nil, receives periodic Progress samples from
 	// running attempts. It is called from worker goroutines — it must
 	// be fast and safe for concurrent use.
 	OnProgress func(Progress)
 	// ProgressEvery is the step interval between progress samples
-	// (0 = DefaultProgressEvery).
+	// (0 = DefaultProgressEvery), honoured at tick granularity: values
+	// below cpu.DefaultCancelEvery act as cpu.DefaultCancelEvery.
 	ProgressEvery uint64
 }
 
@@ -145,6 +140,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MemBudgetBytes == 0 {
 		o.MemBudgetBytes = DefaultMemBudgetBytes
+	}
+	if o.ProgressEvery == 0 {
+		o.ProgressEvery = DefaultProgressEvery
 	}
 	return o
 }
@@ -219,7 +217,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) *Report {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = runJob(ctx, jobs[i], p.opts, p)
+				results[i] = runJob(ctx, p, jobs[i])
 			}
 		}()
 	}
@@ -246,7 +244,8 @@ func Run(ctx context.Context, jobs []Job, opts Options) *Report {
 
 // runJob walks one job down the ladder. It always returns a terminal
 // Result; no error or panic escapes.
-func runJob(ctx context.Context, job Job, opts Options, p *Pool) (res Result) {
+func runJob(ctx context.Context, p *Pool, job Job) (res Result) {
+	opts := p.opts
 	start := time.Now()
 	if job.Name == "" && job.Workload != nil {
 		job.Name = job.Workload.Name
@@ -276,10 +275,9 @@ func runJob(ctx context.Context, job Job, opts Options, p *Pool) (res Result) {
 		}
 		res.Attempts++
 		// The first attempt resumes a previous run's checkpoint only
-		// when the batch or the job opted in; retries always resume
-		// from this run's own last good checkpoint.
-		resume := opts.Resume || job.Resume || a > 0
-		out, rf, note, err := attempt(ctx, job, opts, p, job.DSAOff, ck, resume, res.Attempts)
+		// when the job opted in; retries always resume from this run's
+		// own last good checkpoint.
+		out, rf, note, err := attempt(ctx, p, job, job.DSAOff, ck, job.Resume || a > 0, res.Attempts)
 		addNote(res.Attempts, note)
 		if err == nil {
 			res.Status = StatusOK
@@ -302,7 +300,7 @@ func runJob(ctx context.Context, job Job, opts Options, p *Pool) (res Result) {
 	// simulation state into the scalar-correct rerun.
 	if !opts.NoDegrade && !job.DSAOff && ctx.Err() == nil && degradable(lastErr) {
 		res.Attempts++
-		out, _, note, err := attempt(ctx, job, opts, p, true, nil, false, res.Attempts)
+		out, _, note, err := attempt(ctx, p, job, true, nil, false, res.Attempts)
 		addNote(res.Attempts, note)
 		if err == nil {
 			res.Status = StatusDegraded
@@ -363,17 +361,18 @@ func joinNotes(notes []string, ck *checkpointer) string {
 // periodic checkpointing into the run; resume additionally restores
 // the last good checkpoint before running (restart-from-zero with an
 // attributed note if the file is missing, corrupt, or mismatched).
-// resumedFrom and note are valid even when err is non-nil — they are
-// set the moment the resume decision is made, so a later failure (or
-// panic) cannot erase the attribution.
-func attempt(ctx context.Context, job Job, opts Options, p *Pool, dsaOff bool, ck *checkpointer, resume bool, attemptNo int) (out *outcome, resumedFrom uint64, note string, err error) {
+// DSA-off snapshots carry only the machine's sections. resumedFrom and
+// note are valid even when err is non-nil — they are set the moment
+// the resume decision is made, so a later failure (or panic) cannot
+// erase the attribution.
+func attempt(ctx context.Context, p *Pool, job Job, dsaOff bool, ck *checkpointer, resume bool, attemptNo int) (out *outcome, resumedFrom uint64, note string, err error) {
 	fp := footprint(job)
 	if err := p.bud.acquire(ctx, fp); err != nil {
 		return nil, 0, "", err
 	}
 	defer p.bud.release(fp)
 
-	timeout := opts.Timeout
+	timeout := p.opts.Timeout
 	if job.Timeout > 0 {
 		timeout = job.Timeout
 	}
@@ -393,94 +392,41 @@ func attempt(ctx context.Context, job Job, opts Options, p *Pool, dsaOff bool, c
 		}
 	}()
 
-	if dsaOff {
-		// Baseline jobs carry machine-only snapshots (no dsa.* sections).
-		newM := func() (*cpu.Machine, error) {
-			m, err := cpu.New(job.Workload.Scalar(), job.CPU)
-			if err != nil {
-				return nil, err
-			}
-			m.SetCancelCheck(actx.Err, opts.CancelEvery)
-			job.Workload.Setup(m)
-			var ckHook func() error
-			if ck != nil {
-				ckHook = ck.machineHook(m)
-			}
-			m.SetRunHook(chainHooks(
-				p.drainHook(ck, job.Name),
-				ckHook,
-				progressHook(opts, job.Name, attemptNo, true,
-					func() uint64 { return m.Steps }, func() int64 { return m.Ticks }, nil),
-			))
-			return m, nil
-		}
-		m, err := newM()
-		if err != nil {
-			return nil, 0, "", err
-		}
-		if ck != nil && resume {
-			resumedFrom, note = ck.resumeMachine(m)
-			if note != "" {
-				// A failed restore may leave the machine half-written;
-				// rebuild it from scratch and run from zero.
-				if m, err = newM(); err != nil {
-					return nil, resumedFrom, note, err
-				}
-			}
-		}
-		if err := m.Run(nil); err != nil {
-			return nil, resumedFrom, note, err
-		}
-		if err := job.Workload.Check(m); err != nil {
-			return nil, resumedFrom, note, fmt.Errorf("%w: %v", ErrCheckFailed, err)
-		}
-		return &outcome{ticks: m.Ticks, steps: m.Steps, memSum: m.Mem.Sum64(),
-			energy: energy.Compute(energy.DefaultParams(), m.Counts,
-				m.Caches.L1Stats(), m.Caches.L2Stats(), energy.DSAEvents{})}, resumedFrom, note, nil
-	}
-
-	newSys := func() (*dsa.System, error) {
-		sys, err := dsa.NewSystem(job.Workload.Scalar(), job.CPU, job.DSA)
-		if err != nil {
-			return nil, err
-		}
-		sys.M.SetCancelCheck(actx.Err, opts.CancelEvery)
-		job.Workload.Setup(sys.M)
-		var ckHook func() error
-		if ck != nil {
-			ckHook = ck.systemHook(sys)
-		}
-		st := sys.Stats()
-		sys.SetRunHook(chainHooks(
-			p.drainHook(ck, job.Name),
-			ckHook,
-			progressHook(opts, job.Name, attemptNo, false,
-				func() uint64 { return sys.M.Steps }, func() int64 { return sys.M.Ticks },
-				func() (uint64, uint64) { return st.Takeovers, st.Fallbacks }),
-		))
-		return sys, nil
-	}
-	sys, err := newSys()
-	if err != nil {
+	t := &tick{p: p, ck: ck, job: job.Name, attempt: attemptNo}
+	if err := t.build(actx, job, dsaOff); err != nil {
 		return nil, 0, "", err
 	}
 	if ck != nil && resume {
-		resumedFrom, note = ck.resumeSystem(sys)
-		if note != "" {
-			if sys, err = newSys(); err != nil {
-				return nil, resumedFrom, note, err
+		if note = ck.restore(t.restore); note != "" {
+			// A failed restore may leave the simulation half-written;
+			// rebuild it from scratch and run from zero.
+			if err := t.build(actx, job, dsaOff); err != nil {
+				return nil, 0, note, err
 			}
 		}
+		resumedFrom = t.m.Steps
 	}
-	if err := sys.Run(); err != nil {
+	t.arm()
+	m, sys := t.m, t.sys
+	if sys == nil {
+		err = m.Run(nil)
+	} else {
+		err = sys.Run()
+	}
+	if err != nil {
 		return nil, resumedFrom, note, err
 	}
-	if err := job.Workload.Check(sys.M); err != nil {
+	if err := job.Workload.Check(m); err != nil {
 		return nil, resumedFrom, note, fmt.Errorf("%w: %v", ErrCheckFailed, err)
 	}
-	return &outcome{ticks: sys.M.Ticks, steps: sys.M.Steps, stats: sys.Stats().Snapshot(), memSum: sys.M.Mem.Sum64(),
-		energy: energy.Compute(energy.DefaultParams(), sys.M.Counts,
-			sys.M.Caches.L1Stats(), sys.M.Caches.L2Stats(), sys.Stats().EnergyEvents())}, resumedFrom, note, nil
+	out = &outcome{ticks: m.Ticks, steps: m.Steps, memSum: m.Mem.Sum64()}
+	var ev energy.DSAEvents
+	if sys != nil {
+		out.stats = sys.Stats().Snapshot()
+		ev = sys.Stats().EnergyEvents()
+	}
+	out.energy = energy.Compute(energy.DefaultParams(), m.Counts, m.Caches.L1Stats(), m.Caches.L2Stats(), ev)
+	return out, resumedFrom, note, nil
 }
 
 // sleepCtx sleeps for d unless ctx is canceled first; it reports

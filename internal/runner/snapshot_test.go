@@ -30,6 +30,21 @@ func snapshotTestJob(t *testing.T) Job {
 	}
 }
 
+// forEachMode runs f on the snapshot test job under the extended DSA
+// and DSA-off, one subtest each: the two attempt paths checkpoint,
+// drain and resume through the same tick.
+func forEachMode(t *testing.T, f func(t *testing.T, job Job)) {
+	for _, dsaOff := range []bool{false, true} {
+		job := snapshotTestJob(t)
+		job.DSAOff = dsaOff
+		name := "dsa"
+		if dsaOff {
+			name = "dsa-off"
+		}
+		t.Run(name, func(t *testing.T) { f(t, job) })
+	}
+}
+
 // referenceResult runs the job without any checkpointing.
 func referenceResult(t *testing.T, job Job) Result {
 	t.Helper()
@@ -94,10 +109,10 @@ func TestRunnerResumeFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	path, atStep := writeMidRunCheckpoint(t, job, dir)
 
+	job.Resume = true
 	rep := Run(context.Background(), []Job{job}, Options{
 		Workers:     1,
 		SnapshotDir: dir,
-		Resume:      true,
 	})
 	r := rep.Results[0]
 	if r.Status != StatusOK {
@@ -164,10 +179,11 @@ func TestRunnerSnapshotFaultClasses(t *testing.T) {
 			if err := dsa.InjectSnapshotFault(path, fault); err != nil {
 				t.Fatal(err)
 			}
-			rep := Run(context.Background(), []Job{job}, Options{
+			resumed := job
+			resumed.Resume = true
+			rep := Run(context.Background(), []Job{resumed}, Options{
 				Workers:     1,
 				SnapshotDir: dir,
-				Resume:      true,
 			})
 			r := rep.Results[0]
 			if r.Status != StatusOK {
@@ -212,10 +228,10 @@ func TestRunnerMismatchedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	job.Resume = true
 	rep := Run(context.Background(), []Job{job}, Options{
 		Workers:     1,
 		SnapshotDir: dir,
-		Resume:      true,
 	})
 	r := rep.Results[0]
 	if r.Status != StatusOK {
@@ -269,10 +285,10 @@ func TestRunnerPeriodicCheckpointing(t *testing.T) {
 	// A healthy batch with -resume picks the checkpoint up. The clean
 	// config differs from the faulted one, so this also exercises the
 	// config gate: restore must refuse and restart from zero.
+	job.Resume = true
 	rep = Run(context.Background(), []Job{job}, Options{
 		Workers:     1,
 		SnapshotDir: dir,
-		Resume:      true,
 	})
 	r = rep.Results[0]
 	if r.Status != StatusOK {
