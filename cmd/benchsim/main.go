@@ -26,7 +26,9 @@
 // Usage: go run ./cmd/benchsim -out BENCH_sim.json [-reps 3]
 // Each (workload, mode) pair runs reps times; the fastest wall time is
 // kept (minimum-of-N rejects scheduler noise, the standard practice
-// for throughput benchmarks).
+// for throughput benchmarks). The repetitions are round-robin: each
+// one runs every pair once, so a slow phase of the host falls on
+// every mode alike instead of on whichever mode would run last.
 //
 // With -baseline <file>, benchsim additionally compares the measured
 // dsa-extended/scalar wall-clock ratio against the baseline file's and
@@ -138,35 +140,44 @@ func runDSA(w *workloads.Workload, cfg dsa.Config) (uint64, int64, time.Duration
 	return s.M.Steps, s.M.Ticks, wall, nj, nil
 }
 
-func measure(w *workloads.Workload, mode string, reps int) (Result, error) {
-	r := Result{Workload: w.Name, Mode: mode}
-	for i := 0; i < reps; i++ {
-		var (
-			steps uint64
-			ticks int64
-			wall  time.Duration
-			nj    float64
-			err   error
-		)
-		switch mode {
-		case "scalar":
-			steps, ticks, wall, nj, err = runScalar(w)
-		case "dsa-original":
-			steps, ticks, wall, nj, err = runDSA(w, dsa.OriginalConfig())
-		case "dsa-adaptive":
-			steps, ticks, wall, nj, err = runDSA(w, dsa.AdaptiveConfig())
-		default:
-			steps, ticks, wall, nj, err = runDSA(w, dsa.DefaultConfig())
-		}
-		if err != nil {
-			return r, err
-		}
-		if i == 0 || wall.Nanoseconds() < r.WallNS {
-			r.WallNS = wall.Nanoseconds()
-		}
-		r.Steps, r.Ticks, r.EnergyNJ = steps, ticks, nj
+// runMode times one run of w under the named mode.
+func runMode(w *workloads.Workload, mode string) (uint64, int64, time.Duration, float64, error) {
+	switch mode {
+	case "scalar":
+		return runScalar(w)
+	case "dsa-original":
+		return runDSA(w, dsa.OriginalConfig())
+	case "dsa-adaptive":
+		return runDSA(w, dsa.AdaptiveConfig())
+	default:
+		return runDSA(w, dsa.DefaultConfig())
 	}
-	return r, nil
+}
+
+// measure runs every (workload, mode) pair reps times, round-robin,
+// and keeps each pair's fastest wall time. Within a repetition a
+// workload's modes run back to back, so the adaptive gate compares
+// runs taken close together. Results are mode-major:
+// results[m*len(ws)+i] is workload ws[i] under modes[m].
+func measure(ws []*workloads.Workload, reps int) ([]Result, error) {
+	results := make([]Result, len(modes)*len(ws))
+	for rep := 0; rep < reps; rep++ {
+		for i, w := range ws {
+			for m, mode := range modes {
+				steps, ticks, wall, nj, err := runMode(w, mode)
+				if err != nil {
+					return nil, fmt.Errorf("%s/%s: %w", w.Name, mode, err)
+				}
+				r := &results[m*len(ws)+i]
+				if rep == 0 || wall.Nanoseconds() < r.WallNS {
+					r.WallNS = wall.Nanoseconds()
+				}
+				r.Workload, r.Mode = w.Name, mode
+				r.Steps, r.Ticks, r.EnergyNJ = steps, ticks, nj
+			}
+		}
+	}
+	return results, nil
 }
 
 // checkBaseline enforces the wall-clock regression gate: the measured
@@ -273,7 +284,7 @@ func checkAdaptive(f *File, slack float64, epsNS int64) error {
 
 func main() {
 	out := flag.String("out", "BENCH_sim.json", "output path")
-	reps := flag.Int("reps", 3, "repetitions per measurement (best kept)")
+	reps := flag.Int("reps", 3, "round-robin repetitions of every (workload, mode) pair (best kept)")
 	baseline := flag.String("baseline", "", "baseline BENCH_sim.json to gate the dsa-extended/scalar ratio against")
 	slack := flag.Float64("slack", 1.10, "allowed ratio regression factor vs -baseline (also the adaptive gate's ratio)")
 	adaptiveEps := flag.Duration("adaptive-eps", 250*time.Microsecond,
@@ -287,26 +298,27 @@ func main() {
 		Workloads: experiments.Article1Workloads,
 		Totals:    map[string]Totals{},
 	}
-	// Scalar retirement counts per workload: the eq-steps denominator
-	// for every mode (for scalar itself, eq steps == steps).
-	scalarSteps := map[string]uint64{}
-	for _, mode := range modes {
+	var ws []*workloads.Workload
+	for _, name := range experiments.Article1Workloads {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchsim: %v\n", err)
+			os.Exit(1)
+		}
+		ws = append(ws, w)
+	}
+	results, err := measure(ws, *reps)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchsim: %v\n", err)
+		os.Exit(1)
+	}
+	for m, mode := range modes {
 		var tot Totals
-		for _, name := range experiments.Article1Workloads {
-			w, err := workloads.ByName(name)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchsim: %v\n", err)
-				os.Exit(1)
-			}
-			r, err := measure(w, mode, *reps)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchsim: %s/%s: %v\n", name, mode, err)
-				os.Exit(1)
-			}
-			if mode == "scalar" {
-				scalarSteps[name] = r.Steps
-			}
-			r.EqScalarSteps = scalarSteps[name]
+		for i, name := range experiments.Article1Workloads {
+			r := results[m*len(ws)+i]
+			// The scalar run's retirement count (modes[0]) is the
+			// eq-steps denominator for every mode.
+			r.EqScalarSteps = results[i].Steps
 			r.EqStepsPerSec = float64(r.EqScalarSteps) / (float64(r.WallNS) * 1e-9)
 			f.Results = append(f.Results, r)
 			tot.Steps += r.Steps

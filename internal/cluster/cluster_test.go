@@ -380,6 +380,31 @@ func readDoneEvent(t *testing.T, ts *httptest.Server, id string) server.Event {
 	return server.Event{}
 }
 
+// TestPlacementByFreeSlots: each queued job goes to the live worker
+// with the most free slots, ties going to the lower worker ID. With
+// capacities 1 and 2, three jobs fill both workers and a fourth waits.
+func TestPlacementByFreeSlots(t *testing.T) {
+	_, ts := newTestCoordinator(t, Config{LeaseTTL: time.Minute})
+	small := joinFake(t, ts.URL, 1)
+	big := joinFake(t, ts.URL, 2)
+	if small.id >= big.id {
+		t.Fatalf("worker IDs %s, %s: want the first join to get the lower ID", small.id, big.id)
+	}
+	spec := server.JobSpec{Workload: "mm_32x32", Config: "extended"}
+	want := []string{
+		big.id,   // free slots 1 vs 2
+		small.id, // 1 vs 1: the tie goes to the lower ID
+		big.id,   // 0 vs 1
+		"",       // both full: the job waits
+	}
+	for i, owner := range want {
+		v := submit(t, ts, spec, http.StatusAccepted)
+		if got := getJob(t, ts, v.ID); got.Owner != owner {
+			t.Errorf("job %d (%s) owner = %q, want %q", i+1, v.ID, got.Owner, owner)
+		}
+	}
+}
+
 // TestLeaseExpiryTakeover is the failure-detection story in-process: a
 // worker checkpoints a job mid-run and dies (stops heartbeating); the
 // coordinator expires its lease, requeues the job at a higher epoch,
@@ -403,12 +428,12 @@ func TestLeaseExpiryTakeover(t *testing.T) {
 	}
 	a := hb.Start[0]
 
-	// ...runs it partway with checkpointing under its own identity and
-	// epoch, leaves a mid-run checkpoint behind (as its periodic
-	// cadence would), and dies without another heartbeat.
+	// ...runs it partway with checkpointing under its lease epoch,
+	// leaves a mid-run checkpoint behind (as its periodic cadence
+	// would), and dies without another heartbeat.
 	var pool *runner.Pool
 	pool = runner.NewPool(runner.Options{
-		Workers: 1, SnapshotDir: dir, SnapshotOwner: f.id,
+		Workers: 1, SnapshotDir: dir,
 		SnapshotEvery: 5_000, ProgressEvery: 2_000,
 		OnProgress: func(p runner.Progress) {
 			if p.Steps > 100_000 {

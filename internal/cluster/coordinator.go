@@ -230,34 +230,24 @@ func (c *Coordinator) expireLocked(now time.Time) (expired bool) {
 	return expired
 }
 
-// assignLocked hands every unassigned queued job to a worker with
-// spare capacity, chosen by consistent hashing on the job ID, each
-// assignment under a freshly bumped fencing epoch. Jobs that find no
-// eligible worker stay pending for the next pass. It reports whether
-// anything was assigned; persisting is the caller's, once per request.
+// assignLocked hands every unassigned queued job, in submission
+// order, to the live worker with the most free slots (ties go to the
+// lower worker ID), each assignment under a freshly bumped fencing
+// epoch. Jobs that find no free slot stay pending for the next pass.
+// It reports whether anything was assigned; persisting is the
+// caller's, once per request.
 func (c *Coordinator) assignLocked() (changed bool) {
-	if len(c.workers) == 0 {
-		return false
-	}
-	ids := make([]string, 0, len(c.workers))
-	for id := range c.workers {
-		ids = append(ids, id)
-	}
-	r := newRing(ids)
 	c.plane.Each(func(j *server.Job) bool {
 		if j.Status != server.StatusQueued || j.Owner != "" {
 			return true
 		}
-		w := r.owner(j.ID, func(wid string) bool {
-			we := c.workers[wid]
-			return len(we.jobs) < we.capacity
-		})
-		if w == "" {
+		w := c.freestWorkerLocked()
+		if w == nil {
 			return false // every worker is at capacity; later jobs can't do better
 		}
-		j.Owner = w
+		j.Owner = w.id
 		j.Epoch = c.stampEpochLocked()
-		c.workers[w].jobs[j.ID] = struct{}{}
+		w.jobs[j.ID] = struct{}{}
 		c.repJobLocked(j)
 		changed = true
 		return true
@@ -266,6 +256,20 @@ func (c *Coordinator) assignLocked() (changed bool) {
 		c.repCountersLocked()
 	}
 	return changed
+}
+
+// freestWorkerLocked returns the live worker with the most free slots,
+// ties going to the lower worker ID, or nil when every worker is full.
+func (c *Coordinator) freestWorkerLocked() *workerEntry {
+	var best *workerEntry
+	bestFree := 0
+	for _, w := range c.workers {
+		free := w.capacity - len(w.jobs)
+		if free > bestFree || free == bestFree && best != nil && w.id < best.id {
+			best, bestFree = w, free
+		}
+	}
+	return best
 }
 
 // stampEpochLocked mints the next assignment fencing epoch. Solo mode

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -113,6 +114,26 @@ func contractPost(t *testing.T, ts *httptest.Server, body, idemKey string) (*htt
 	return resp, view
 }
 
+// listJobs returns GET /v1/jobs.
+func listJobs(t *testing.T, ts *httptest.Server) []server.JobView {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatalf("GET /v1/jobs: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/jobs: code = %d", resp.StatusCode)
+	}
+	var list struct {
+		Jobs []server.JobView `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	return list.Jobs
+}
+
 func checkReady(t *testing.T, ts *httptest.Server, wantCode int, wantReason string) {
 	t.Helper()
 	code, body := probe(t, ts, "/readyz")
@@ -144,9 +165,10 @@ func waitStatus(t *testing.T, ts *httptest.Server, id, want string) {
 // other: 400 on a bad spec; Idempotency-Key replay before validation;
 // CR/LF trimmed from names; the job-result metric family; 429 with a
 // jittered Retry-After when full, with /readyz failing for the same
-// reason; 503 while draining. It
-// also restores each plane from a literal state file in the previous
-// release's format and checks the job views survive.
+// reason; 503 while draining. It also restores each plane from a
+// literal state file in the previous release's format, checks the job
+// views survive, and that GET /v1/jobs lists every job in submission
+// order with the view GET /v1/jobs/{id} returns.
 func TestJobPlaneContract(t *testing.T) {
 	for _, pl := range contractPlanes {
 		pl := pl
@@ -232,8 +254,23 @@ func TestJobPlaneContract(t *testing.T) {
 			if again.ID != "j000001" || resp.Header.Get("Idempotency-Replayed") != "true" {
 				t.Errorf("restored key: id %q replayed %q, want j000001 true", again.ID, resp.Header.Get("Idempotency-Replayed"))
 			}
-			if _, next := contractPost(t, ts, `{"workload":"mm_32x32","config":"scalar"}`, ""); next.ID != "j000002" {
+			_, next := contractPost(t, ts, `{"workload":"mm_32x32","config":"scalar"}`, "")
+			if next.ID != "j000002" {
 				t.Errorf("next ID after restore = %q, want j000002", next.ID)
+			}
+			_, last := contractPost(t, ts, `{"workload":"rgb_gray","config":"scalar"}`, "")
+			waitStatus(t, ts, next.ID, "terminal")
+			waitStatus(t, ts, last.ID, "terminal")
+			list := listJobs(t, ts)
+			var ids []string
+			for _, v := range list {
+				ids = append(ids, v.ID)
+				if one := getJob(t, ts, v.ID); !reflect.DeepEqual(v, one) {
+					t.Errorf("GET /v1/jobs view of %s = %+v, want GET /v1/jobs/%s's %+v", v.ID, v, v.ID, one)
+				}
+			}
+			if want := []string{"j000001", next.ID, last.ID}; !reflect.DeepEqual(ids, want) {
+				t.Errorf("GET /v1/jobs lists %v, want %v (submission order)", ids, want)
 			}
 			if _, err := os.Stat(path + ".bad"); err == nil {
 				t.Error("earlier-release state file was quarantined")

@@ -49,12 +49,12 @@ type WorkerConfig struct {
 	// Capacity is how many jobs to run concurrently (0 = 1).
 	Capacity int
 	// SnapshotDir is the checkpoint directory — shared with the other
-	// workers; files are namespaced by worker ID and lease epoch, and
-	// takeover resumes happen through it.
+	// workers; files are named by job and lease epoch, and takeover
+	// resumes happen through it.
 	SnapshotDir string
 	// Runner carries execution knobs (snapshot cadence, retries,
-	// timeout…). Workers, SnapshotDir, SnapshotOwner and OnProgress
-	// are owned by the worker and overwritten.
+	// timeout…). Workers, SnapshotDir and OnProgress are owned by the
+	// worker and overwritten.
 	Runner runner.Options
 	// Transport, when set, replaces the HTTP transport for every
 	// coordinator RPC — the seam netchaos injects client-side faults
@@ -224,7 +224,6 @@ func (w *Worker) serveSession(id, session string, ttl time.Duration) (rejoin boo
 	ropts := w.cfg.Runner
 	ropts.Workers = w.cfg.Capacity
 	ropts.SnapshotDir = w.cfg.SnapshotDir
-	ropts.SnapshotOwner = id
 	ropts.OnProgress = w.onProgress
 	pool := runner.NewPool(ropts)
 

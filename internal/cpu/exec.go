@@ -49,7 +49,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 	// conditional non-branch instructions, so the hot path pays one
 	// bit test. pB evaluates its own condition.
 	if u.fl&flCond != 0 && !u.cond.Holds(m.F) {
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.Total++
 		m.Counts.Nops++
 		m.PC++
@@ -58,19 +58,19 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 
 	switch u.kind {
 	case pNop:
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.Nops++
 
 	case pHalt:
 		m.Halted = true
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 
 	case pMovImm:
 		m.R[u.rd] = uint32(u.imm)
 		if u.fl&flSet != 0 {
 			m.setNZ(uint32(u.imm))
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pMovReg:
@@ -79,7 +79,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(v)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pMvnImm:
@@ -88,7 +88,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(v)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pMvnReg:
@@ -97,7 +97,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(v)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pAddImm:
@@ -106,7 +106,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.addFlags(a, b)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pAddReg:
@@ -115,7 +115,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.addFlags(a, b)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pSubImm:
@@ -124,7 +124,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.subFlags(a, b)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pSubReg:
@@ -133,7 +133,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.subFlags(a, b)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pRsbImm:
@@ -142,7 +142,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.subFlags(b, a)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pRsbReg:
@@ -151,7 +151,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.subFlags(b, a)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pAndImm:
@@ -160,7 +160,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pAndReg:
@@ -169,7 +169,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pOrrImm:
@@ -178,7 +178,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pOrrReg:
@@ -187,7 +187,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pEorImm:
@@ -196,7 +196,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pEorReg:
@@ -205,7 +205,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pBicImm:
@@ -214,7 +214,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pBicReg:
@@ -223,7 +223,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pLslImm:
@@ -232,7 +232,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pLslReg:
@@ -241,7 +241,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pLsrImm:
@@ -250,7 +250,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pLsrReg:
@@ -259,7 +259,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pAsrImm:
@@ -268,7 +268,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pAsrReg:
@@ -277,7 +277,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 		if u.fl&flSet != 0 {
 			m.setNZ(r)
 		}
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pMul:
@@ -316,32 +316,32 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 
 	case pCmpImm:
 		m.subFlags(m.R[u.rn], uint32(u.imm))
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pCmpReg:
 		m.subFlags(m.R[u.rn], m.R[u.rm])
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pCmnImm:
 		m.addFlags(m.R[u.rn], uint32(u.imm))
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pCmnReg:
 		m.addFlags(m.R[u.rn], m.R[u.rm])
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pTstImm:
 		m.setNZ(m.R[u.rn] & uint32(u.imm))
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pTstReg:
 		m.setNZ(m.R[u.rn] & m.R[u.rm])
-		m.Ticks += m.issue
+		m.Ticks += issueTicks
 		m.Counts.ALU++
 
 	case pFAdd, pFSub, pFMul, pFDiv:
@@ -412,7 +412,7 @@ func (m *Machine) exec(u *pInstr, rec *Record) error {
 			m.Ticks += branchTakenTicks
 		} else {
 			m.PC++
-			m.Ticks += m.issue
+			m.Ticks += issueTicks
 		}
 		return nil
 
@@ -463,7 +463,7 @@ func (m *Machine) load(u *pInstr, rec *Record, addr uint32, wbReg uint8, wbVal u
 	if wbReg != noWriteback {
 		m.R[wbReg] = wbVal
 	}
-	m.Ticks += m.issue + m.Caches.Access(addr, size)
+	m.Ticks += issueTicks + m.Caches.Access(addr, size)
 	m.Counts.Loads++
 	rec.addMem(addr, size, false)
 	m.Counts.Total++
@@ -480,7 +480,7 @@ func (m *Machine) store(u *pInstr, rec *Record, addr uint32, wbReg uint8, wbVal 
 	if wbReg != noWriteback {
 		m.R[wbReg] = wbVal
 	}
-	m.Ticks += m.issue + m.Caches.AccessWrite(addr, size)
+	m.Ticks += issueTicks + m.Caches.AccessWrite(addr, size)
 	m.Counts.Stores++
 	rec.addMem(addr, size, true)
 	m.Counts.Total++
@@ -517,7 +517,7 @@ func (m *Machine) execVector(u *pInstr, rec *Record) error {
 			return err
 		}
 		nu.Q[u.qd] = v
-		m.Ticks += m.cfg.NEON.MemIssueTicks + m.Caches.Access(addr, armlite.VectorBytes)
+		m.Ticks += neon.MemIssueTicks + m.Caches.Access(addr, armlite.VectorBytes)
 		nu.Loads++
 		m.Counts.VecLoads++
 		rec.addMem(addr, armlite.VectorBytes, false)
@@ -527,14 +527,14 @@ func (m *Machine) execVector(u *pInstr, rec *Record) error {
 		if err := neon.StoreVec(m.Mem, addr, nu.Q[u.qd]); err != nil {
 			return err
 		}
-		m.Ticks += m.cfg.NEON.MemIssueTicks + m.Caches.AccessWrite(addr, armlite.VectorBytes)
+		m.Ticks += neon.MemIssueTicks + m.Caches.AccessWrite(addr, armlite.VectorBytes)
 		nu.Stores++
 		m.Counts.VecStores++
 		rec.addMem(addr, armlite.VectorBytes, true)
 
 	case pVdup:
 		nu.Q[u.qd] = neon.Splat(u.dt, m.R[u.rn])
-		m.Ticks += m.cfg.NEON.DupTicks
+		m.Ticks += neon.DupTicks
 		m.Counts.VecDups++
 
 	default:
@@ -558,7 +558,7 @@ func (m *Machine) execVector(u *pInstr, rec *Record) error {
 			return err
 		}
 		nu.Q[u.qd] = out
-		m.Ticks += m.cfg.NEON.OpIssueTicks
+		m.Ticks += neon.OpIssueTicks
 		nu.Ops++
 		m.Counts.VecOps++
 	}

@@ -22,16 +22,10 @@ import (
 // 1 GHz. Sub-cycle costs (2-wide issue) stay integral this way.
 const TicksPerCycle = 10
 
-// Config parameterizes the machine.
+// Config parameterizes the machine. The timing model is fixed: the
+// issue width (IssueWidth), the cache hierarchy (mem.DefaultHierarchy)
+// and the NEON issue costs (package neon) are the paper's one setup.
 type Config struct {
-	// Superscalar issue width; the effective issue cost of simple
-	// operations is one cycle divided by this width. Default 2,
-	// matching the dissertation's "Superscalar Width: 2 wide".
-	Width int
-	// Hierarchy configures the data-cache timing model.
-	Hierarchy mem.HierarchyConfig
-	// NEON configures the vector engine timing.
-	NEON neon.Timing
 	// MaxSteps guards against runaway programs (0 = 500M).
 	MaxSteps uint64
 	// MemBytes sizes the flat memory (0 = mem.DefaultSize).
@@ -40,12 +34,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's system setup.
 func DefaultConfig() Config {
-	return Config{
-		Width:     2,
-		Hierarchy: mem.DefaultHierarchy(),
-		NEON:      neon.DefaultTiming(),
-		MaxSteps:  500_000_000,
-	}
+	return Config{MaxSteps: 500_000_000}
 }
 
 // MemAccess is one data-memory reference made by an instruction.
@@ -115,11 +104,9 @@ type Machine struct {
 	// open, so one slot suffices); see checkpoint.go.
 	cpFree *Checkpoint
 
-	// Hot-path state, fixed at construction: the predecoded program
-	// (see predecode.go) and the per-issue tick cost (TicksPerCycle /
-	// Width, precomputed so the step loop doesn't divide).
+	// pcode is the predecoded program (see predecode.go), fixed at
+	// construction.
 	pcode []pInstr
-	issue int64
 
 	// The host tap (SetCancelCheck). cancelLeft counts down per retired
 	// instruction so the callback runs only once every cancelEvery
@@ -134,26 +121,16 @@ func New(prog *armlite.Program, cfg Config) (*Machine, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Width <= 0 {
-		cfg.Width = 2
-	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 500_000_000
-	}
-	if cfg.Hierarchy.L1.SizeBytes == 0 {
-		cfg.Hierarchy = mem.DefaultHierarchy()
-	}
-	if cfg.NEON.OpIssueTicks == 0 {
-		cfg.NEON = neon.DefaultTiming()
 	}
 	m := &Machine{
 		Prog:   prog,
 		Mem:    mem.New(cfg.MemBytes),
-		Caches: mem.NewHierarchy(cfg.Hierarchy),
+		Caches: mem.NewHierarchy(mem.DefaultHierarchy()),
 		NEON:   neon.New(),
 		cfg:    cfg,
 		pcode:  predecode(prog),
-		issue:  int64(TicksPerCycle / cfg.Width),
 	}
 	return m, nil
 }
@@ -166,9 +143,6 @@ func MustNew(prog *armlite.Program, cfg Config) *Machine {
 	}
 	return m
 }
-
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
 
 // DefaultCancelEvery is the step interval between cancellation checks
 // when SetCancelCheck is called with every == 0 — frequent enough that

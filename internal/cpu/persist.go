@@ -34,7 +34,6 @@ func ProgramFingerprint(p *armlite.Program) uint64 {
 func (m *Machine) SaveState(w *snapshot.Writer) {
 	var meta snapshot.Enc
 	meta.U64(ProgramFingerprint(m.Prog))
-	meta.Int(m.cfg.Width)
 	meta.U64(m.cfg.MaxSteps)
 	w.Add(secMeta, meta.Bytes())
 
@@ -85,9 +84,6 @@ func (m *Machine) RestoreState(r *snapshot.Reader) error {
 	}
 	if fp := meta.U64(); fp != ProgramFingerprint(m.Prog) {
 		return fmt.Errorf("%w: snapshot of a different program (fingerprint %#x)", snapshot.ErrMismatch, fp)
-	}
-	if wd := meta.Int(); wd != m.cfg.Width {
-		return fmt.Errorf("%w: snapshot under width %d, machine has %d", snapshot.ErrMismatch, wd, m.cfg.Width)
 	}
 	if ms := meta.U64(); ms != m.cfg.MaxSteps {
 		return fmt.Errorf("%w: snapshot under max-steps %d, machine has %d", snapshot.ErrMismatch, ms, m.cfg.MaxSteps)

@@ -16,9 +16,13 @@ const (
 	branchTakenTicks = 20 // 2 cycles: redirect bubble (predictor-amortized)
 )
 
-// The cost of one simple operation at the configured superscalar
-// width (1 cycle / width) is precomputed into Machine.issue at
-// construction so the step loop never divides.
+// IssueWidth is the superscalar issue width, the dissertation's
+// "Superscalar Width: 2 wide".
+const IssueWidth = 2
+
+// issueTicks is the cost of one simple operation: one cycle divided
+// by the issue width.
+const issueTicks = TicksPerCycle / IssueWidth
 
 func fpTicks(op armlite.Op) int64 {
 	switch op {

@@ -48,10 +48,7 @@
 //	                 their decision inputs
 package dsa
 
-import (
-	"repro/internal/armlite"
-	"repro/internal/policy"
-)
+import "repro/internal/armlite"
 
 // LeftoverPolicy selects how iterations that do not fill a full vector
 // are executed (dissertation §4.8).
@@ -89,40 +86,24 @@ func (p LeftoverPolicy) String() string {
 	}
 }
 
-// Latencies holds the DSA timing constants in ticks (10 = one core
-// cycle), covering every latency the methodology chapter lists for the
-// Analysis and Execution stages.
-type Latencies struct {
-	// Analysis-side (tracked separately; the DSA analyzes in parallel
+// DSA stage latencies in ticks (10 = one core cycle): the one model
+// every experiment runs, covering the Analysis and Execution stage
+// latencies of the methodology chapter that this model charges.
+const (
+	// Analysis side (tracked separately; the DSA analyzes in parallel
 	// with the core, so these do not extend wall-clock time — they
 	// feed the "DSA Latency" tables).
-	ObservePerInstr   int64 // tap one retired instruction
-	DSACacheAccess    int64
-	VCacheAccess      int64
-	ArrayMapAccess    int64
-	CIDPCompare       int64
-	PartialReanalysis int64 // extra pass per partial-vectorization window
+	observeTicks           = 1  // tap one retired instruction
+	dsaCacheAccessTicks    = 20 // 2 cycles
+	vcacheAccessTicks      = 10 // 1 cycle
+	cidpCompareTicks       = 10
+	partialReanalysisTicks = 40 // extra pass per partial-vectorization window
 
-	// Execution-side (added to wall-clock time at takeover).
-	PipelineFlush   int64 // drain the O3 pipeline before SIMD issue
-	PlanSetup       int64 // route generated statements to the NEON queue
-	LeftoverElement int64 // per single-element lane insert/extract
-}
-
-// DefaultLatencies returns the model used by all experiments.
-func DefaultLatencies() Latencies {
-	return Latencies{
-		ObservePerInstr:   1,
-		DSACacheAccess:    20, // 2 cycles
-		VCacheAccess:      10, // 1 cycle
-		ArrayMapAccess:    10,
-		CIDPCompare:       10,
-		PartialReanalysis: 40,
-		PipelineFlush:     100, // 10 cycles: drain in-flight instructions
-		PlanSetup:         40,
-		LeftoverElement:   10,
-	}
-}
+	// Execution side (added to wall-clock time at takeover).
+	pipelineFlushTicks   = 100 // 10 cycles: drain the O3 pipeline before SIMD issue
+	planSetupTicks       = 40  // route generated statements to the NEON queue
+	leftoverElementTicks = 10  // per single-element lane insert/extract
+)
 
 // Config parameterizes the DSA hardware, defaulting to the
 // dissertation's setup: 8 KB DSA cache, 1 KB verification cache, four
@@ -132,7 +113,6 @@ type Config struct {
 	VCacheBytes   int
 	ArrayMaps     int
 	Leftover      LeftoverPolicy
-	Latencies     Latencies
 
 	// Feature switches (the "Original DSA" of Article 1 vs the
 	// "Extended DSA" of Articles 2/3; also used by ablations).
@@ -159,8 +139,6 @@ type Config struct {
 	// analysis and takeovers for loops that repeatedly lose against
 	// their own measured scalar baseline. See internal/policy.
 	EnablePolicy bool
-	// Policy tunes the adaptive controller (zero value = defaults).
-	Policy policy.Params
 
 	// Verify enables the differential oracle: every committed takeover
 	// is shadowed by a scalar replay and diffed (see VerifyConfig).
@@ -183,7 +161,6 @@ func DefaultConfig() Config {
 		VCacheBytes:        1 << 10,
 		ArrayMaps:          4,
 		Leftover:           LeftoverAuto,
-		Latencies:          DefaultLatencies(),
 		EnableConditional:  true,
 		EnableSentinel:     true,
 		EnableDynamicRange: true,

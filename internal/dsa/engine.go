@@ -79,7 +79,7 @@ func NewEngine(m *cpu.Machine, cfg Config) *Engine {
 		kindOf: make(map[int]LoopKind),
 	}
 	if cfg.EnablePolicy {
-		e.policy = policy.New(cfg.Policy)
+		e.policy = policy.New(policy.Params{})
 	}
 	return e
 }
@@ -189,7 +189,7 @@ func (e *Engine) Observe(rec *cpu.Record) {
 		}
 		return
 	}
-	e.stats.AnalysisTicks += e.cfg.Latencies.ObservePerInstr
+	e.stats.AnalysisTicks += observeTicks
 	s := StepRec{PC: rec.PC, Instr: rec.Instr, Taken: rec.Taken}
 	if rec.Nmem > 0 {
 		s.HasMem = true
@@ -264,7 +264,7 @@ func (e *Engine) detectLoop(id, branchPC int) {
 	e.stats.LoopsDetected++
 	e.stats.StateTransitions++
 	e.stats.DSACacheAccesses++
-	e.stats.AnalysisTicks += e.cfg.Latencies.DSACacheAccess
+	e.stats.AnalysisTicks += dsaCacheAccessTicks
 
 	// Any live outer track now contains an inner loop.
 	for _, t := range e.live {
@@ -321,7 +321,7 @@ func (e *Engine) onCacheHit(c *CachedLoop, branchPC int) {
 		t := e.takeTrack(c.LoopID, branchPC)
 		t.kind = KindDynamicRange
 		e.live = append(e.live, t)
-		e.stats.AnalysisTicks += e.cfg.Latencies.PartialReanalysis
+		e.stats.AnalysisTicks += partialReanalysisTicks
 		return
 	}
 	if !e.rebase(a) {
@@ -369,7 +369,7 @@ func (e *Engine) onCacheHit(c *CachedLoop, branchPC int) {
 func (e *Engine) predictCID(patterns []MemPattern, first, last int) CIDResult {
 	res := PredictCID(patterns, first, last)
 	e.stats.CIDPCompares += uint64(res.Compares)
-	e.stats.AnalysisTicks += int64(res.Compares) * e.cfg.Latencies.CIDPCompare
+	e.stats.AnalysisTicks += int64(res.Compares) * cidpCompareTicks
 	return res
 }
 
@@ -530,7 +530,7 @@ func (e *Engine) cacheVerdict(t *track, entry *CachedLoop) {
 	t.log, t.regs = nil, nil
 	e.Cache.Insert(entry)
 	e.stats.DSACacheAccesses++
-	e.stats.AnalysisTicks += e.cfg.Latencies.DSACacheAccess
+	e.stats.AnalysisTicks += dsaCacheAccessTicks
 	e.recordVerdict(t, true)
 }
 
@@ -560,7 +560,7 @@ func (e *Engine) recordVerdict(t *track, vectorizable bool) {
 		e.setKind(t.id, KindNonVectorizable)
 		e.Cache.Insert(&CachedLoop{LoopID: t.id, Kind: KindNonVectorizable, Reason: t.rejected})
 		e.stats.DSACacheAccesses++
-		e.stats.AnalysisTicks += e.cfg.Latencies.DSACacheAccess
+		e.stats.AnalysisTicks += dsaCacheAccessTicks
 	}
 }
 
@@ -572,7 +572,7 @@ func (e *Engine) Blacklist(loopID int, cause string) {
 	e.setKind(loopID, KindNonVectorizable)
 	e.Cache.Insert(&CachedLoop{LoopID: loopID, Kind: KindNonVectorizable, Reason: "fallback:" + cause})
 	e.stats.DSACacheAccesses++
-	e.stats.AnalysisTicks += e.cfg.Latencies.DSACacheAccess
+	e.stats.AnalysisTicks += dsaCacheAccessTicks
 	// Any pending offer is stale once its loop (or a sibling) failed.
 	if e.pending != nil {
 		e.ReleaseRequest(e.pending)
@@ -651,7 +651,7 @@ func (e *Engine) dataCollection(t *track) {
 			continue
 		}
 		e.stats.VCacheAccesses++
-		e.stats.AnalysisTicks += e.cfg.Latencies.VCacheAccess
+		e.stats.AnalysisTicks += vcacheAccessTicks
 		if !e.VCache.Record(r.PC, r.MemAddr, r.MemSize, r.MemStore, r.Instr.DT) {
 			e.stats.VCacheOverflows++
 			t.reject("vcache-overflow")

@@ -25,10 +25,10 @@ const (
 	// FaultNone disables injection (production).
 	FaultNone FaultKind = iota
 	// FaultCorruptCache models a corrupted DSA-cache entry: the cached
-	// pattern table's base addresses are shifted, so the takeover
-	// loads and stores the wrong memory. Detected either by an
-	// out-of-range access (rollback) or by the differential oracle
-	// (silent corruption).
+	// pattern table's base addresses are shifted by cacheSkewBytes, so
+	// the takeover loads and stores the wrong memory. Detected either
+	// by an out-of-range access (rollback) or by the differential
+	// oracle (silent corruption).
 	FaultCorruptCache
 	// FaultSkewCIDP models a wrong CIDP stride prediction: every
 	// strided pattern's stride grows by one element, fanning accesses
@@ -71,14 +71,15 @@ func ParseFaultKind(s string) (FaultKind, error) {
 	return FaultNone, fmt.Errorf("unknown fault kind %q (want none, corrupt-cache, cidp-skew, truncated-range or executor-error)", s)
 }
 
+// cacheSkewBytes is the address shift FaultCorruptCache applies to
+// the cached pattern table: one cache line.
+const cacheSkewBytes = 64
+
 // FaultConfig configures the harness.
 type FaultConfig struct {
 	Kind FaultKind
 	// EveryN arms the fault on every Nth takeover (≤1 = every one).
 	EveryN uint64
-	// SkewBytes is the address shift FaultCorruptCache applies to the
-	// cached pattern table (0 = 64, one cache line).
-	SkewBytes int64
 }
 
 // FaultInjector arms one fault per selected takeover and lets the
@@ -121,14 +122,10 @@ func (f *FaultInjector) Arm(req *Request) string {
 	f.label = "fault:" + f.cfg.Kind.String()
 	switch f.cfg.Kind {
 	case FaultCorruptCache:
-		skew := f.cfg.SkewBytes
-		if skew == 0 {
-			skew = 64
-		}
 		forEachPatternTable(req.Analysis, func(pats []MemPattern) {
 			for i := range pats {
-				pats[i].AddrA = uint32(int64(pats[i].AddrA) + skew)
-				pats[i].AddrB = uint32(int64(pats[i].AddrB) + skew)
+				pats[i].AddrA += cacheSkewBytes
+				pats[i].AddrB += cacheSkewBytes
 			}
 		})
 	case FaultSkewCIDP:

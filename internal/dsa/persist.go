@@ -204,21 +204,9 @@ func encodeDSAConfig(e *snapshot.Enc, c *Config) {
 	e.U64(c.TakeoverStepBudget)
 	e.Bool(c.Verify.Enabled)
 	e.Bool(c.Verify.Fallback)
-	e.U64(c.Verify.MaxReplaySteps)
 	e.Int(int(c.Fault.Kind))
 	e.U64(c.Fault.EveryN)
-	e.I64(c.Fault.SkewBytes)
 	e.Bool(c.EnablePolicy)
-	e.Int(c.Policy.SuspendAfter)
-	e.Int(c.Policy.TrialEvery)
-	e.Int(c.Policy.TrialBackoffMax)
-	e.I64(c.Policy.MinTickGain)
-	l := &c.Latencies
-	for _, v := range []int64{l.ObservePerInstr, l.DSACacheAccess, l.VCacheAccess,
-		l.ArrayMapAccess, l.CIDPCompare, l.PartialReanalysis,
-		l.PipelineFlush, l.PlanSetup, l.LeftoverElement} {
-		e.I64(v)
-	}
 }
 
 func checkDSAConfig(d *snapshot.Dec, c *Config) error {

@@ -222,13 +222,12 @@ func (b *SpecBuffer) Add(e SpecEntry) { b.Entries = append(b.Entries, e) }
 // retire as masked vector stores (one issue + cache access per 16-byte
 // span), isolated lanes as element stores.
 func (b *SpecBuffer) Commit(e *Executor, keep func(iter, tag int) bool) error {
-	nt := e.M.Config().NEON
 	runBytes := 0
 	var runAddr uint32
 	prevEnd := uint32(0)
 	flush := func() {
 		for off := 0; off < runBytes; off += armlite.VectorBytes {
-			e.M.Ticks += nt.MemIssueTicks + e.M.Caches.AccessWrite(runAddr+uint32(off), min(armlite.VectorBytes, runBytes-off))
+			e.M.Ticks += neon.MemIssueTicks + e.M.Caches.AccessWrite(runAddr+uint32(off), min(armlite.VectorBytes, runBytes-off))
 			e.M.Counts.VecStores++
 		}
 		runBytes = 0
@@ -268,7 +267,6 @@ func (b *SpecBuffer) Discard() { b.Entries = b.Entries[:0] }
 // charges NEON-engine time.
 type Executor struct {
 	M     *cpu.Machine
-	Lat   Latencies
 	Stats *Stats
 
 	// faults is the active fault injector (nil in production); its
@@ -287,15 +285,15 @@ type Executor struct {
 }
 
 // NewExecutor builds an executor over machine m.
-func NewExecutor(m *cpu.Machine, lat Latencies, stats *Stats) *Executor {
-	return &Executor{M: m, Lat: lat, Stats: stats}
+func NewExecutor(m *cpu.Machine, stats *Stats) *Executor {
+	return &Executor{M: m, Stats: stats}
 }
 
 // Begin charges the takeover overhead (pipeline flush + plan routing)
 // and sets the pattern table generated plans index into.
 func (e *Executor) Begin(patterns []MemPattern) {
 	e.patterns = patterns
-	over := e.Lat.PipelineFlush + e.Lat.PlanSetup
+	const over = pipelineFlushTicks + planSetupTicks
 	e.M.Ticks += over
 	if e.Stats != nil {
 		e.Stats.OverheadTicks += over
@@ -308,16 +306,15 @@ func (e *Executor) Begin(patterns []MemPattern) {
 func (e *Executor) SetPatterns(patterns []MemPattern) { e.patterns = patterns }
 
 func (e *Executor) runSetup(p *Plan) error {
-	nt := e.M.Config().NEON
 	for _, s := range p.setup {
 		switch s.kind {
 		case stepDupReg:
 			e.vals[s.dst] = neon.Splat(p.DT, e.M.R[s.reg])
-			e.M.Ticks += nt.DupTicks
+			e.M.Ticks += neon.DupTicks
 			e.M.Counts.VecDups++
 		case stepDupImm:
 			e.vals[s.dst] = neon.Splat(p.DT, uint32(s.imm))
-			e.M.Ticks += nt.DupTicks
+			e.M.Ticks += neon.DupTicks
 			e.M.Counts.VecDups++
 		case stepConstMem:
 			pat := &e.patterns[s.pattern]
@@ -326,7 +323,7 @@ func (e *Executor) runSetup(p *Plan) error {
 				return err
 			}
 			e.vals[s.dst] = neon.Splat(p.DT, v)
-			e.M.Ticks += nt.DupTicks + e.M.Caches.Access(pat.AddrA, pat.Size)
+			e.M.Ticks += neon.DupTicks + e.M.Caches.Access(pat.AddrA, pat.Size)
 			e.M.Counts.VecDups++
 			e.M.Counts.Loads++
 		}
@@ -426,7 +423,6 @@ func (e *Executor) RunWindow(p *Plan, firstIter, lastIter int,
 // the selected lanes (conditional full speculation); otherwise stores
 // go to spec when non-nil or straight to memory.
 func (e *Executor) runChunk(p *Plan, it, lanes int, spec *SpecBuffer, tag int, mask []bool) error {
-	nt := e.M.Config().NEON
 	for _, s := range p.chunk {
 		switch s.kind {
 		case stepLoad:
@@ -435,7 +431,7 @@ func (e *Executor) runChunk(p *Plan, it, lanes int, spec *SpecBuffer, tag int, m
 			if err := neon.ReadVec(e.M.Mem, addr, &e.vals[s.dst]); err != nil {
 				return err
 			}
-			e.M.Ticks += nt.MemIssueTicks + e.M.Caches.Access(addr, armlite.VectorBytes)
+			e.M.Ticks += neon.MemIssueTicks + e.M.Caches.Access(addr, armlite.VectorBytes)
 			e.M.Counts.VecLoads++
 			e.M.NEON.Loads++
 		case stepALU:
@@ -446,7 +442,7 @@ func (e *Executor) runChunk(p *Plan, it, lanes int, spec *SpecBuffer, tag int, m
 			if err := neon.ALUInto(vop, p.DT, &e.vals[s.dst], &e.vals[s.a], &e.vals[s.b], s.imm); err != nil {
 				return err
 			}
-			e.M.Ticks += nt.OpIssueTicks
+			e.M.Ticks += neon.OpIssueTicks
 			e.M.Counts.VecOps++
 			e.M.NEON.Ops++
 		case stepStore:
@@ -465,7 +461,7 @@ func (e *Executor) runChunk(p *Plan, it, lanes int, spec *SpecBuffer, tag int, m
 						return err
 					}
 				}
-				e.M.Ticks += nt.MemIssueTicks + nt.OpIssueTicks + e.M.Caches.AccessWrite(addr, armlite.VectorBytes)
+				e.M.Ticks += neon.MemIssueTicks + neon.OpIssueTicks + e.M.Caches.AccessWrite(addr, armlite.VectorBytes)
 				e.M.Counts.VecStores++
 				e.M.Counts.VecOps++ // the select/blend
 				e.M.NEON.Stores++
@@ -484,7 +480,7 @@ func (e *Executor) runChunk(p *Plan, it, lanes int, spec *SpecBuffer, tag int, m
 						Tag:   tag,
 					})
 				}
-				e.M.Ticks += nt.MemIssueTicks
+				e.M.Ticks += neon.MemIssueTicks
 				if e.Stats != nil {
 					e.Stats.ArrayMapAccesses++
 				}
@@ -492,7 +488,7 @@ func (e *Executor) runChunk(p *Plan, it, lanes int, spec *SpecBuffer, tag int, m
 				if err := neon.StoreVec(e.M.Mem, addr, e.vals[s.dst]); err != nil {
 					return err
 				}
-				e.M.Ticks += nt.MemIssueTicks + e.M.Caches.AccessWrite(addr, armlite.VectorBytes)
+				e.M.Ticks += neon.MemIssueTicks + e.M.Caches.AccessWrite(addr, armlite.VectorBytes)
 				e.M.Counts.VecStores++
 				e.M.NEON.Stores++
 			}
@@ -510,10 +506,10 @@ func (e *Executor) runElement(p *Plan, it int, spec *SpecBuffer, tag int) error 
 	for _, n := range p.nodes[:len(vals)] {
 		if n.Kind == NodeLoad {
 			pat := &e.patterns[n.Pattern]
-			e.M.Ticks += e.Lat.LeftoverElement + e.M.Caches.Access(pat.AddrAt(it), pat.Size)
+			e.M.Ticks += leftoverElementTicks + e.M.Caches.Access(pat.AddrAt(it), pat.Size)
 			e.M.Counts.VecLoads++
 		} else if n.Kind == NodeExpr {
-			e.M.Ticks += e.M.Config().NEON.OpIssueTicks
+			e.M.Ticks += neon.OpIssueTicks
 			e.M.Counts.VecOps++
 		}
 	}
@@ -526,12 +522,12 @@ func (e *Executor) runElement(p *Plan, it int, spec *SpecBuffer, tag int) error 
 		v := vals[s.Value.ord]
 		if spec != nil {
 			spec.Add(SpecEntry{Addr: addr, Size: pat.Size, Value: v, Iter: it, Tag: tag})
-			e.M.Ticks += e.Lat.LeftoverElement
+			e.M.Ticks += leftoverElementTicks
 		} else {
 			if err := e.M.Mem.Store(addr, pat.Size, v); err != nil {
 				return err
 			}
-			e.M.Ticks += e.Lat.LeftoverElement + e.M.Caches.AccessWrite(addr, pat.Size)
+			e.M.Ticks += leftoverElementTicks + e.M.Caches.AccessWrite(addr, pat.Size)
 			e.M.Counts.VecStores++
 		}
 	}
@@ -701,7 +697,6 @@ func (e *Executor) RunCondWindow(cv *CondVec, firstIter, lastIter int) (int, err
 	if e.faults.truncated() {
 		return chunks * lanes, nil
 	}
-	nt := e.M.Config().NEON
 
 	// Register allocations are disjoint across the three plans, so
 	// one setup pass per window suffices.
@@ -731,7 +726,7 @@ func (e *Executor) RunCondWindow(cv *CondVec, firstIter, lastIter int) (int, err
 		}
 		// The mask compare itself (vcgt/vceq-class operation).
 		taken := maskOf(e.maskBuf, cv.Cond, cv.GuardPlan.DT, cv.Float, cv.Unsigned, e.vals[cv.A.vreg], e.vals[cv.B.vreg])
-		e.M.Ticks += nt.OpIssueTicks
+		e.M.Ticks += neon.OpIssueTicks
 		e.M.Counts.VecOps++
 		if e.Stats != nil {
 			e.Stats.ArrayMapAccesses++

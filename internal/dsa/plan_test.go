@@ -161,7 +161,7 @@ func execEnv(t *testing.T) *Executor {
 	t.Helper()
 	prog := asm.MustAssemble("x", "halt")
 	m := cpu.MustNew(prog, cpu.DefaultConfig())
-	return NewExecutor(m, DefaultLatencies(), newStats())
+	return NewExecutor(m, newStats())
 }
 
 // TestRunWindowCounts: RunWindow returns the executed iteration count

@@ -46,7 +46,7 @@ func NewSystem(prog *armlite.Program, cpuCfg cpu.Config, dsaCfg Config) (*System
 		return nil, err
 	}
 	e := NewEngine(m, dsaCfg)
-	s := &System{M: m, E: e, X: NewExecutor(m, e.cfg.Latencies, e.stats), cfg: e.cfg}
+	s := &System{M: m, E: e, X: NewExecutor(m, e.stats), cfg: e.cfg}
 	if e.cfg.Fault.Kind != FaultNone {
 		s.faults = newFaultInjector(e.cfg.Fault)
 		s.X.faults = s.faults
@@ -151,8 +151,8 @@ func (s *System) guarded(req *Request) error {
 		// would hit the same wall. Surface them to the supervisor.
 		return err
 	}
-	s.M.Ticks += s.cfg.Latencies.PipelineFlush // squash cost of the aborted switch
-	s.E.stats.OverheadTicks += s.cfg.Latencies.PipelineFlush
+	s.M.Ticks += pipelineFlushTicks // squash cost of the aborted switch
+	s.E.stats.OverheadTicks += pipelineFlushTicks
 	s.fallbackTo(req, errorCause(err, label))
 	return nil
 }
@@ -303,7 +303,7 @@ func (s *System) runVector(req *Request) error {
 				return err
 			}
 			executed += done
-			s.E.stats.AnalysisTicks += s.cfg.Latencies.PartialReanalysis
+			s.E.stats.AnalysisTicks += partialReanalysisTicks
 		}
 	} else {
 		done, err := s.X.RunWindow(a.plan, start, last, s.cfg.Leftover, disjoint, nil, 0)
@@ -422,7 +422,7 @@ func (s *System) runSentinel(req *Request) error {
 						return err
 					}
 					windowEnd = iter + spec - 1
-					s.E.stats.AnalysisTicks += s.cfg.Latencies.PartialReanalysis
+					s.E.stats.AnalysisTicks += partialReanalysisTicks
 					if _, err := s.X.RunWindow(a.plan, iter, windowEnd, LeftoverSingle, false, buf, 0); err != nil {
 						if !errors.Is(err, mem.ErrOutOfRange) {
 							return err

@@ -26,9 +26,6 @@ type VerifyConfig struct {
 	// divergence is a hard error carrying the full report — the
 	// debugging-oracle mode of cmd/dsasim -verify.
 	Fallback bool
-	// MaxReplaySteps bounds each phase of the per-takeover replay
-	// (0 = the takeover step budget).
-	MaxReplaySteps uint64
 }
 
 // Divergence is the oracle's report of the first observed mismatch
@@ -79,10 +76,7 @@ type vecOutcome struct {
 func (s *System) verify(req *Request, cp *cpu.Checkpoint) (*Divergence, error) {
 	a := req.Analysis
 	s.E.stats.VerifiedTakeovers++
-	budget := s.cfg.Verify.MaxReplaySteps
-	if budget == 0 {
-		budget = s.stepBudget()
-	}
+	budget := s.stepBudget()
 	lo, hi := a.LoopID, a.BranchPC
 
 	// Phase 1: finish the loop on the ARM core under the takeover's

@@ -123,11 +123,9 @@ func writeGoldens(t *testing.T) {
 	t.Logf("wrote %d goldens to %s", len(f.Goldens), goldenPath)
 }
 
-func TestGoldenDigests(t *testing.T) {
-	if *update {
-		writeGoldens(t)
-		return
-	}
+// readGoldens loads the golden file.
+func readGoldens(t *testing.T) goldenFile {
+	t.Helper()
 	b, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +140,15 @@ func TestGoldenDigests(t *testing.T) {
 	if len(f.Goldens) == 0 {
 		t.Fatal("golden file is empty")
 	}
+	return f
+}
+
+func TestGoldenDigests(t *testing.T) {
+	if *update {
+		writeGoldens(t)
+		return
+	}
+	f := readGoldens(t)
 	// Every workload x mode pair must be covered, so a new workload
 	// without a regenerated golden file fails loudly instead of
 	// silently going unpinned.
@@ -184,5 +191,31 @@ func TestGoldenDigests(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAdaptiveTicksBound holds the adaptive policy to its model
+// property on every built-in: dsa-adaptive simulated ticks stay within
+// 10% of the better static choice, min(scalar, dsa-extended). It reads
+// the golden rows, which TestGoldenDigests pins the live runs to, so
+// it needs no run of its own.
+func TestAdaptiveTicksBound(t *testing.T) {
+	ticks := map[string]map[Mode]int64{}
+	for _, g := range readGoldens(t).Goldens {
+		if ticks[g.Workload] == nil {
+			ticks[g.Workload] = map[Mode]int64{}
+		}
+		ticks[g.Workload][Mode(g.Mode)] = g.Ticks
+	}
+	for _, w := range workloads.All() {
+		m := ticks[w.Name]
+		sc, ext, ad := m[ModeScalar], m[ModeDSAExt], m[ModeDSAAdaptive]
+		if sc == 0 || ext == 0 || ad == 0 {
+			t.Errorf("%s: golden rows lack scalar, dsa-extended or dsa-adaptive ticks", w.Name)
+			continue
+		}
+		if best := min(sc, ext); ad*100 > best*110 {
+			t.Errorf("%s: adaptive %d ticks > min(scalar %d, dsa-extended %d) × 1.10", w.Name, ad, sc, ext)
+		}
 	}
 }

@@ -16,13 +16,14 @@ type CacheConfig struct {
 
 // HierarchyConfig describes the full data-memory hierarchy.
 type HierarchyConfig struct {
-	L1, L2    CacheConfig
-	MemTicks  int64 // main-memory latency on L2 miss
-	TicksUnit string
+	L1, L2   CacheConfig
+	MemTicks int64 // main-memory latency on L2 miss
 }
 
 // DefaultHierarchy reproduces the paper's setup with latencies in
 // tick units (10 ticks = 1 CPU cycle at 1 GHz; see cpu.TicksPerCycle).
+// Every machine runs it; other shapes serve the cache model's own
+// tests.
 func DefaultHierarchy() HierarchyConfig {
 	return HierarchyConfig{
 		L1:       CacheConfig{SizeBytes: 64 << 10, LineBytes: 64, Ways: 4, HitTicks: 10},  // 1 cycle

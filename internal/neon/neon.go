@@ -86,9 +86,6 @@ type Unit struct {
 // New returns a zeroed NEON unit.
 func New() *Unit { return &Unit{} }
 
-// Reset clears registers and counters.
-func (u *Unit) Reset() { *u = Unit{} }
-
 // Splat returns a vector with every dt-lane set to val.
 func Splat(dt armlite.DataType, val uint32) Vec {
 	var v Vec

@@ -229,16 +229,3 @@ func TestQuickVbsl(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTimingInstrTicks(t *testing.T) {
-	tm := DefaultTiming()
-	if tm.InstrTicks(armlite.OpVadd) != tm.OpIssueTicks {
-		t.Error("vadd ticks wrong")
-	}
-	if tm.InstrTicks(armlite.OpVld1) != tm.MemIssueTicks {
-		t.Error("vld1 ticks wrong")
-	}
-	if tm.InstrTicks(armlite.OpVdup) != tm.DupTicks {
-		t.Error("vdup ticks wrong")
-	}
-}

@@ -1,45 +1,17 @@
 package neon
 
-import "repro/internal/armlite"
-
-// Timing holds the NEON engine latency constants, in ticks
-// (10 ticks = 1 CPU cycle; the NEON pipeline runs at core clock on the
-// A8-class design of Fig. 3). The defaults model:
+// NEON engine issue costs in ticks (10 ticks = 1 CPU cycle; the NEON
+// pipeline runs at core clock on the A8-class design of Fig. 3). They
+// model:
 //
-//   - a deeply pipelined 10-stage engine that sustains one vector
-//     operation per cycle once filled;
+//   - a deeply pipelined engine that sustains one vector operation per
+//     cycle once filled;
 //   - a 16-entry instruction queue so dispatch from the core never
 //     stalls in our single-threaded scenario;
 //   - vector loads/stores whose cache latency is charged by the shared
 //     mem.Hierarchy, plus a small issue cost here.
-type Timing struct {
-	PipelineFillTicks int64 // charged once when the engine is (re)activated
-	OpIssueTicks      int64 // per vector arithmetic/logic operation
-	MemIssueTicks     int64 // per vector load/store, before cache latency
-	DupTicks          int64 // scalar→vector transfer (vdup), ARM→NEON queue
-	LaneMoveTicks     int64 // single-element insert/extract (leftovers)
-}
-
-// DefaultTiming returns the model used by all experiments.
-func DefaultTiming() Timing {
-	return Timing{
-		PipelineFillTicks: 100, // 10 cycles: refill the 10-stage pipeline
-		OpIssueTicks:      10,  // 1 cycle/op steady state
-		MemIssueTicks:     10,  // 1 cycle + cache hierarchy latency
-		DupTicks:          20,  // ARM→NEON transfer through the data queue
-		LaneMoveTicks:     10,
-	}
-}
-
-// InstrTicks returns the issue cost of one vector instruction
-// (excluding data-cache latency, which the caller adds per access).
-func (t Timing) InstrTicks(op armlite.Op) int64 {
-	switch op {
-	case armlite.OpVld1, armlite.OpVst1:
-		return t.MemIssueTicks
-	case armlite.OpVdup:
-		return t.DupTicks
-	default:
-		return t.OpIssueTicks
-	}
-}
+const (
+	OpIssueTicks  = 10 // per vector arithmetic/logic operation: 1 cycle/op steady state
+	MemIssueTicks = 10 // per vector load/store, before cache latency
+	DupTicks      = 20 // scalar→vector transfer (vdup) through the ARM→NEON data queue
+)

@@ -27,9 +27,9 @@ const DefaultSnapshotInterval = 30 * time.Second
 // last good one. Save failures disable further checkpointing but never
 // fail the run — a job without durability still beats no job.
 //
-// With Options.SnapshotOwner set (cluster workers), checkpoint files
-// are namespaced by owner ID and lease epoch
-// ("<job>.<owner>.e<epoch>.dsnp") so co-located workers sharing one
+// Checkpoint files are named by job and lease epoch
+// ("<job>.e<epoch>.dsnp", epoch 0 outside a cluster). The coordinator
+// mints a fresh epoch for every assignment, so workers sharing one
 // snapshot directory can never clobber each other's files, and restore
 // scans for the highest-epoch valid snapshot at or below this
 // assignment's epoch — the takeover path: a new owner picks up the
@@ -37,7 +37,6 @@ const DefaultSnapshotInterval = 30 * time.Second
 type checkpointer struct {
 	dir   string
 	base  string // sanitized job name, extension stripped
-	owner string // "" = single-owner legacy naming
 	epoch uint64
 	path  string // this attempt's write target
 
@@ -60,14 +59,9 @@ func newCheckpointer(job Job, opts Options) *checkpointer {
 	ck := &checkpointer{
 		dir:        opts.SnapshotDir,
 		base:       snapshotBase(job.Name),
-		owner:      opts.SnapshotOwner,
 		epoch:      job.Epoch,
+		path:       filepath.Join(opts.SnapshotDir, snapshotFileName(job.Name, job.Epoch)),
 		everySteps: opts.SnapshotEvery,
-	}
-	if ck.owner == "" {
-		ck.path = filepath.Join(ck.dir, ck.base+".dsnp")
-	} else {
-		ck.path = filepath.Join(ck.dir, fmt.Sprintf("%s.%s.e%d.dsnp", ck.base, ck.owner, ck.epoch))
 	}
 	if ck.everySteps == 0 {
 		ck.everySteps = DefaultSnapshotEvery
@@ -82,9 +76,10 @@ func snapshotBase(jobName string) string {
 	return r.Replace(jobName)
 }
 
-// snapshotFileName is the single-owner checkpoint file name for a job.
-func snapshotFileName(jobName string) string {
-	return snapshotBase(jobName) + ".dsnp"
+// snapshotFileName is the checkpoint file name for a job at a lease
+// epoch.
+func snapshotFileName(jobName string, epoch uint64) string {
+	return fmt.Sprintf("%s.e%d.dsnp", snapshotBase(jobName), epoch)
 }
 
 // arm points the checkpointer at one attempt: save serializes the
@@ -147,13 +142,12 @@ func (ck *checkpointer) disable(err error) {
 // simulation from scratch: a failed restore may have partially
 // overwritten state.
 //
-// In owner/epoch mode the candidate set is every checkpoint of this
-// job in the shared directory with an epoch at or below this
-// assignment's; the highest-epoch structurally valid one is restored
-// (validity is checked *before* touching the machine, so a corrupt
-// high-epoch file falls through to the predecessor, and exactly one
-// restoreFn call ever runs). After a successful restore, stale
-// lower-epoch leftovers are deleted.
+// The candidate set is every checkpoint of this job in the directory
+// with an epoch at or below this assignment's; the highest-epoch
+// structurally valid one is restored (validity is checked *before*
+// touching the machine, so a corrupt high-epoch file falls through to
+// the predecessor, and exactly one restoreFn call ever runs). After a
+// successful restore, stale lower-epoch leftovers are deleted.
 func (ck *checkpointer) restore(restoreFn func(r *snapshot.Reader) error) string {
 	path, rd, cause := ck.pickSnapshot()
 	if rd == nil {
@@ -175,18 +169,6 @@ func (ck *checkpointer) restore(restoreFn func(r *snapshot.Reader) error) string
 // best candidate's failure; cause is "" when no checkpoint exists at
 // all — a clean cold start).
 func (ck *checkpointer) pickSnapshot() (path string, rd *snapshot.Reader, cause string) {
-	if ck.owner == "" {
-		// Single-owner mode: exactly one well-known file.
-		rd, err := snapshot.ReadFile(ck.path)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return "", nil, ""
-			}
-			os.Remove(ck.path)
-			return "", nil, restoreCause(err)
-		}
-		return ck.path, rd, ""
-	}
 	for _, c := range ck.candidates() {
 		p := filepath.Join(ck.dir, c.name)
 		rd, err := snapshot.ReadFile(p)
@@ -219,9 +201,11 @@ type snapCand struct {
 }
 
 // candidates lists this job's checkpoint files with epochs at or below
-// this assignment's, highest epoch first. Files from epochs above ours
-// would mean *we* are the stale owner; they are left untouched — the
-// coordinator's fencing, not this worker, decides that conflict.
+// this assignment's, highest epoch first: "<job>.e<epoch>.dsnp", and
+// the "<job>.<owner>.e<epoch>.dsnp" names earlier workers wrote. Files
+// from epochs above ours would mean *we* are the stale owner; they are
+// left untouched — the coordinator's fencing, not this worker, decides
+// that conflict.
 func (ck *checkpointer) candidates() []snapCand {
 	ents, err := os.ReadDir(ck.dir)
 	if err != nil {
@@ -234,14 +218,9 @@ func (ck *checkpointer) candidates() []snapCand {
 		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, ".dsnp") {
 			continue
 		}
-		if name == ck.base+".dsnp" {
-			// Legacy single-owner file: epoch 0.
-			out = append(out, snapCand{name: name, epoch: 0})
-			continue
-		}
-		stem := strings.TrimSuffix(name, ".dsnp") // "<base>.<owner>.e<epoch>"
+		stem := strings.TrimSuffix(name, ".dsnp") // "<base>[.<owner>].e<epoch>"
 		i := strings.LastIndex(stem, ".e")
-		if i < len(prefix) {
+		if i < len(ck.base) {
 			continue
 		}
 		epoch, perr := strconv.ParseUint(stem[i+2:], 10, 64)
@@ -258,9 +237,6 @@ func (ck *checkpointer) candidates() []snapCand {
 // the one just restored — dead owners' leftovers that can never be
 // preferred again.
 func (ck *checkpointer) pruneStale(keep string) {
-	if ck.owner == "" {
-		return
-	}
 	for _, c := range ck.candidates() {
 		if p := filepath.Join(ck.dir, c.name); p != keep {
 			os.Remove(p)
@@ -289,8 +265,8 @@ func restoreCause(err error) string {
 
 // cleanup removes the job's snapshots after a successful terminal
 // result; a failed job's last checkpoint stays on disk for post-mortem
-// resume. In owner/epoch mode every file at or below our epoch goes —
-// dead owners' leftovers included — but never a higher epoch's file:
+// resume. Every file at or below our epoch goes — dead owners'
+// leftovers included — but never a higher epoch's file:
 // if one exists, we are the fenced stale owner and the current owner's
 // state is not ours to delete.
 func (ck *checkpointer) cleanup() {

@@ -117,7 +117,7 @@ func TestPoolDrainAndResume(t *testing.T) {
 		if r.Status != StatusFailed || r.Cause != CauseDrained {
 			t.Fatalf("drained job: status %s cause %q (err %v), want failed/%s", r.Status, r.Cause, r.Err, CauseDrained)
 		}
-		path := filepath.Join(dir, snapshotFileName(job.Name))
+		path := filepath.Join(dir, snapshotFileName(job.Name, 0))
 		if _, err := os.Stat(path); err != nil {
 			t.Fatalf("drain left no checkpoint: %v", err)
 		}

@@ -14,15 +14,18 @@ import (
 	"repro/internal/snapshot"
 )
 
-// ownedSnapshotPath is the epoch-namespaced checkpoint file for a job
-// under a cluster owner — the name newCheckpointer derives.
+// ownedSnapshotPath is the owner-namespaced checkpoint file name
+// earlier cluster workers wrote ("<job>.<owner>.e<epoch>.dsnp"); restore
+// still reads it, so a takeover across an upgrade finds the old
+// owner's checkpoint.
 func ownedSnapshotPath(dir, jobName, owner string, epoch uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s.%s.e%d.dsnp", snapshotBase(jobName), owner, epoch))
 }
 
 // writeOwnedCheckpoint is writeMidRunCheckpoint for cluster mode: it
-// leaves an epoch-stamped, owner-namespaced checkpoint at roughly
-// frac of the job's run behind, as a dead worker would.
+// leaves an epoch-stamped checkpoint under an earlier worker's
+// owner-namespaced name at roughly frac of the job's run behind, as a
+// dead worker would.
 func writeOwnedCheckpoint(t *testing.T, job Job, dir, owner string, epoch uint64, frac float64) (path string, atStep uint64) {
 	t.Helper()
 	sys, err := dsa.NewSystem(job.Workload.Scalar(), job.CPU, job.DSA)
@@ -62,16 +65,15 @@ func writeOwnedCheckpoint(t *testing.T, job Job, dir, owner string, epoch uint64
 	return path, atStep
 }
 
-// revokeMidRun runs job on a pool with the given owner and revokes its
-// lease from the progress callback (deterministic: the callback runs on
-// the attempt's goroutine, so the next tick observes it).
-func revokeMidRun(t *testing.T, job Job, dir, owner string) Result {
+// revokeMidRun runs job on a pool and revokes its lease from the
+// progress callback (deterministic: the callback runs on the attempt's
+// goroutine, so the next tick observes it).
+func revokeMidRun(t *testing.T, job Job, dir string) Result {
 	t.Helper()
 	var p *Pool
 	p = NewPool(Options{
 		Workers:       1,
 		SnapshotDir:   dir,
-		SnapshotOwner: owner,
 		ProgressEvery: 1000,
 		OnProgress: func(pr Progress) {
 			if pr.Steps > 5000 {
@@ -85,9 +87,9 @@ func revokeMidRun(t *testing.T, job Job, dir, owner string) Result {
 
 // TestPoolRevokeAndTakeover is the runner half of a cluster takeover,
 // for a DSA job and a DSA-off one: Revoke stops the attempt at a step
-// boundary with a final checkpoint under the old owner's name and
-// epoch, classified CauseRevoked (never retried or degraded); a
-// different owner at a higher epoch then resumes that checkpoint to
+// boundary with a final checkpoint under the old assignment's epoch,
+// classified CauseRevoked (never retried or degraded); a different
+// owner at a higher epoch then resumes that checkpoint to
 // the bit-identical result of an uninterrupted run, and its success
 // cleans every leftover file up.
 func TestPoolRevokeAndTakeover(t *testing.T) {
@@ -96,14 +98,14 @@ func TestPoolRevokeAndTakeover(t *testing.T) {
 		dir := t.TempDir()
 
 		job.Epoch = 3
-		r := revokeMidRun(t, job, dir, "w1")
+		r := revokeMidRun(t, job, dir)
 		if r.Status != StatusFailed || r.Cause != CauseRevoked {
 			t.Fatalf("revoked job: status %s cause %q (err %v), want failed/%s", r.Status, r.Cause, r.Err, CauseRevoked)
 		}
 		if r.Degraded {
 			t.Error("revoked job was degraded; revocation must not trigger the DSA-off rung")
 		}
-		old := ownedSnapshotPath(dir, job.Name, "w1", 3)
+		old := filepath.Join(dir, snapshotFileName(job.Name, 3))
 		if _, err := os.Stat(old); err != nil {
 			t.Fatalf("revoke left no checkpoint at %s: %v", old, err)
 		}
@@ -112,7 +114,7 @@ func TestPoolRevokeAndTakeover(t *testing.T) {
 		resumed := job
 		resumed.Epoch = 4
 		resumed.Resume = true
-		p2 := NewPool(Options{Workers: 1, SnapshotDir: dir, SnapshotOwner: "w2"})
+		p2 := NewPool(Options{Workers: 1, SnapshotDir: dir})
 		defer p2.Close()
 		r2 := p2.Do(context.Background(), resumed)
 		if r2.Status != StatusOK {
@@ -143,9 +145,10 @@ func TestRestorePrefersHighestEpoch(t *testing.T) {
 	job := snapshotTestJob(t)
 	dir := t.TempDir()
 
-	// A legacy single-owner file (epoch 0) and two owned checkpoints at
-	// different points of the run. Highest epoch is the furthest along.
-	legacy, _ := writeMidRunCheckpoint(t, job, dir)
+	// A standalone file (epoch 0) and two earlier workers' owned
+	// checkpoints at different points of the run. Highest epoch is the
+	// furthest along.
+	standalone, _ := writeMidRunCheckpoint(t, job, dir)
 	low, _ := writeOwnedCheckpoint(t, job, dir, "w1", 1, 0.3)
 	high, at2 := writeOwnedCheckpoint(t, job, dir, "w2", 2, 0.6)
 
@@ -153,16 +156,15 @@ func TestRestorePrefersHighestEpoch(t *testing.T) {
 	// observe it from the first progress sample — mid-run, well before
 	// the terminal cleanup could also have deleted the files.
 	var once sync.Once
-	var legacyGone, lowGone, highKept bool
+	var standaloneGone, lowGone, highKept bool
 	p := NewPool(Options{
 		Workers:       1,
 		SnapshotDir:   dir,
-		SnapshotOwner: "w3",
 		ProgressEvery: 1000,
 		OnProgress: func(pr Progress) {
 			once.Do(func() {
-				_, err := os.Stat(legacy)
-				legacyGone = errors.Is(err, os.ErrNotExist)
+				_, err := os.Stat(standalone)
+				standaloneGone = errors.Is(err, os.ErrNotExist)
 				_, err = os.Stat(low)
 				lowGone = errors.Is(err, os.ErrNotExist)
 				_, err = os.Stat(high)
@@ -181,8 +183,8 @@ func TestRestorePrefersHighestEpoch(t *testing.T) {
 	if r.ResumedFromStep != at2 {
 		t.Errorf("ResumedFromStep = %d, want %d (the epoch-2 checkpoint)", r.ResumedFromStep, at2)
 	}
-	if !legacyGone {
-		t.Error("legacy epoch-0 leftover survived restore")
+	if !standaloneGone {
+		t.Error("stale epoch-0 leftover survived restore")
 	}
 	if !lowGone {
 		t.Error("stale epoch-1 leftover survived restore")
@@ -211,7 +213,7 @@ func TestRestoreRejectsEpochSkew(t *testing.T) {
 	resumed := job
 	resumed.Epoch = 9
 	resumed.Resume = true
-	p := NewPool(Options{Workers: 1, SnapshotDir: dir, SnapshotOwner: "w2"})
+	p := NewPool(Options{Workers: 1, SnapshotDir: dir})
 	defer p.Close()
 	r := p.Do(context.Background(), resumed)
 	if r.Status != StatusOK {
@@ -243,7 +245,7 @@ func TestRestoreIgnoresHigherEpochs(t *testing.T) {
 	resumed := job
 	resumed.Epoch = 2
 	resumed.Resume = true
-	p := NewPool(Options{Workers: 1, SnapshotDir: dir, SnapshotOwner: "w1"})
+	p := NewPool(Options{Workers: 1, SnapshotDir: dir})
 	defer p.Close()
 	r := p.Do(context.Background(), resumed)
 	if r.Status != StatusOK {
@@ -261,34 +263,28 @@ func TestRestoreIgnoresHigherEpochs(t *testing.T) {
 }
 
 // TestOwnedCheckpointsDoNotClobber: two owners of the same job name
-// sharing one snapshot directory write distinct files — the collision
-// the owner/epoch namespacing exists to prevent.
+// sharing one snapshot directory write distinct files — every
+// assignment has its own epoch, and the epoch names the file.
 func TestOwnedCheckpointsDoNotClobber(t *testing.T) {
 	job := snapshotTestJob(t)
 	dir := t.TempDir()
 
 	j1 := job
 	j1.Epoch = 1
-	if r := revokeMidRun(t, j1, dir, "w1"); r.Cause != CauseRevoked {
+	if r := revokeMidRun(t, j1, dir); r.Cause != CauseRevoked {
 		t.Fatalf("w1 run: %+v", r)
 	}
 	j2 := job
 	j2.Epoch = 2 // no Resume: a fresh assignment, not a takeover
-	if r := revokeMidRun(t, j2, dir, "w2"); r.Cause != CauseRevoked {
+	if r := revokeMidRun(t, j2, dir); r.Cause != CauseRevoked {
 		t.Fatalf("w2 run: %+v", r)
 	}
 
-	for _, p := range []string{
-		ownedSnapshotPath(dir, job.Name, "w1", 1),
-		ownedSnapshotPath(dir, job.Name, "w2", 2),
-	} {
+	for _, want := range []uint64{1, 2} {
+		p := filepath.Join(dir, snapshotFileName(job.Name, want))
 		rd, err := snapshot.ReadFile(p)
 		if err != nil {
 			t.Fatalf("checkpoint %s: %v", p, err)
-		}
-		want := uint64(1)
-		if strings.Contains(p, ".w2.") {
-			want = 2
 		}
 		if rd.Epoch() != want {
 			t.Errorf("%s header epoch = %d, want %d", p, rd.Epoch(), want)

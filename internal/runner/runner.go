@@ -77,7 +77,8 @@ type Job struct {
 	// on every job.
 	Resume bool
 	// Epoch is the lease epoch (fencing token) of this assignment,
-	// stamped into every checkpoint the job writes. Restore considers
+	// stamped into every checkpoint the job writes, header and file
+	// name ("<job>.e<epoch>.dsnp"). Restore considers
 	// only checkpoints at or below it, so a fenced former owner's
 	// later writes can never be preferred over the current owner's.
 	// Zero outside cluster operation.
@@ -117,13 +118,6 @@ type Options struct {
 	// honoured at tick granularity: values below
 	// cpu.DefaultCancelEvery act as cpu.DefaultCancelEvery.
 	SnapshotEvery uint64
-	// SnapshotOwner, when non-empty, namespaces checkpoint files by
-	// this owner ID and each job's lease epoch
-	// ("<job>.<owner>.e<epoch>.dsnp"), so multiple worker processes
-	// sharing SnapshotDir never clobber each other, and restore scans
-	// for the highest-epoch valid checkpoint of the job (the cluster
-	// takeover path). Empty keeps the single-owner "<job>.dsnp" naming.
-	SnapshotOwner string
 	// OnProgress, when non-nil, receives periodic Progress samples from
 	// running attempts. It is called from worker goroutines — it must
 	// be fast and safe for concurrent use.
@@ -444,10 +438,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // Matrix builds the workload × configuration job grid the batch CLI
 // and the chaos soak run: every workload in ws crossed with every
-// named DSA configuration. A nil cpu config field means
+// named DSA configuration. A zero cpu config means
 // cpu.DefaultConfig().
 func Matrix(ws []*workloads.Workload, configs map[string]dsa.Config, cpuCfg cpu.Config) []Job {
-	if cpuCfg.Width == 0 {
+	if cpuCfg == (cpu.Config{}) {
 		cpuCfg = cpu.DefaultConfig()
 	}
 	names := make([]string, 0, len(configs))

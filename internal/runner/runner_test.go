@@ -244,7 +244,7 @@ func TestMatrixOrderAndNames(t *testing.T) {
 	if jobs[0].Name != "w1/extended" || jobs[1].Name != "w1/original" {
 		t.Errorf("names = %q, %q; want deterministic workload/config order", jobs[0].Name, jobs[1].Name)
 	}
-	if jobs[0].CPU.Width == 0 {
+	if jobs[0].CPU != cpu.DefaultConfig() {
 		t.Error("zero cpu config not defaulted")
 	}
 }

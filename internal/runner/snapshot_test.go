@@ -78,7 +78,7 @@ func writeMidRunCheckpoint(t *testing.T, job Job, dir string) (path string, atSt
 		t.Fatal(err)
 	}
 	job.Workload.Setup(sys.M)
-	path = filepath.Join(dir, snapshotFileName(job.Name))
+	path = filepath.Join(dir, snapshotFileName(job.Name, 0))
 	sys.SetRunHook(func() error {
 		if sys.M.Steps < killStep {
 			return nil
@@ -224,7 +224,7 @@ func TestRunnerMismatchedSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	otherPath, _ := writeMidRunCheckpoint(t, otherJob, dir)
 	// Park the alien snapshot where job's resume will look.
-	if err := os.Rename(otherPath, filepath.Join(dir, snapshotFileName(job.Name))); err != nil {
+	if err := os.Rename(otherPath, filepath.Join(dir, snapshotFileName(job.Name, 0))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -245,6 +245,64 @@ func TestRunnerMismatchedSnapshot(t *testing.T) {
 	}
 	if r.MemSum != ref.MemSum || r.Ticks != ref.Ticks {
 		t.Errorf("restart diverged from reference")
+	}
+}
+
+// TestRunnerParentFormatCheckpoint: a checkpoint whose meta section
+// still has the layout from before the issue width became a constant
+// (program fingerprint, width 2, max-steps) is intact but no longer
+// matches, so the next attempt restarts from zero with a
+// snapshot-mismatch note instead of resuming.
+func TestRunnerParentFormatCheckpoint(t *testing.T) {
+	job := snapshotTestJob(t)
+	ref := referenceResult(t, job)
+	dir := t.TempDir()
+	path, _ := writeMidRunCheckpoint(t, job, dir)
+
+	rd, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old snapshot.Writer
+	old.Epoch = rd.Epoch()
+	for _, name := range rd.Names() {
+		payload, err := rd.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "meta" {
+			var meta snapshot.Enc
+			meta.U64(cpu.ProgramFingerprint(job.Workload.Scalar()))
+			meta.Int(2)
+			meta.U64(cpu.DefaultConfig().MaxSteps)
+			payload = meta.Bytes()
+		}
+		old.Add(name, payload)
+	}
+	if err := old.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+
+	job.Resume = true
+	rep := Run(context.Background(), []Job{job}, Options{
+		Workers:     1,
+		SnapshotDir: dir,
+	})
+	r := rep.Results[0]
+	if r.Status != StatusOK {
+		t.Fatalf("run: %+v (err %v)", r, r.Err)
+	}
+	if r.ResumedFromStep != 0 {
+		t.Errorf("resumed from step %d off a parent-format checkpoint", r.ResumedFromStep)
+	}
+	if !strings.Contains(r.ResumeNote, "restart-from-zero: snapshot-mismatch") {
+		t.Errorf("ResumeNote = %q, want restart-from-zero: snapshot-mismatch", r.ResumeNote)
+	}
+	if r.MemSum != ref.MemSum || r.Ticks != ref.Ticks || r.Steps != ref.Steps {
+		t.Errorf("restart diverged from reference")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("parent-format checkpoint left on disk: stat err %v", err)
 	}
 }
 
@@ -274,7 +332,7 @@ func TestRunnerPeriodicCheckpointing(t *testing.T) {
 	if r.Status != StatusFailed {
 		t.Fatalf("faulted run: %+v, want failed (so the checkpoint survives)", r)
 	}
-	path := filepath.Join(dir, snapshotFileName(job.Name))
+	path := filepath.Join(dir, snapshotFileName(job.Name, 0))
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("failed job left no checkpoint: %v", err)
 	}

@@ -56,7 +56,7 @@ func TestServiceDrainRestart(t *testing.T) {
 	if after.Status != StatusInterrupted {
 		t.Fatalf("long job after drain: status = %s, want interrupted", after.Status)
 	}
-	ckpt := filepath.Join(cfg.SnapshotDir, lv.ID+".dsnp")
+	ckpt := filepath.Join(cfg.SnapshotDir, lv.ID+".e0.dsnp")
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("drain left no checkpoint: %v", err)
 	}
