@@ -102,11 +102,14 @@ service-smoke:
 # cluster-smoke is the CI gate for multi-worker dsasimd: the
 # in-process lease-protocol suite (expiry takeover, zombie fencing,
 # coordinator restart recovery, metric names) under the race
-# detector, then real processes — a coordinator plus two workers, one
-# SIGKILLed mid-run — with zero lost jobs and results bit-identical
-# to a single-process run.
+# detector; the held-heartbeat and worker-pacing tests ten more times,
+# because the hold is reached from several goroutines at once; then
+# real processes — a coordinator plus two workers, one SIGKILLed
+# mid-run — with zero lost jobs and results bit-identical to a
+# single-process run.
 cluster-smoke:
 	$(GO) test -race -timeout 600s ./internal/cluster
+	$(GO) test -race -count=10 -run 'TestHeartbeatHold|TestWorkerPacing' -timeout 600s ./internal/cluster
 	$(GO) test -run TestClusterSmoke -timeout 600s ./cmd/dsasimd
 
 # partition-chaos is the network-fault robustness gate: a coordinator

@@ -165,8 +165,8 @@ func runPartitionChaos(t *testing.T, bin string, seed int64) {
 	// once per run, by construction rather than by probability.
 	//
 	// Full partition, held past the lease TTL: the isolated worker's
-	// heartbeats time out (their context deadline is the heartbeat
-	// interval), the coordinator expires the lease, survivors take the
+	// heartbeats time out (their context deadline is a third of the
+	// lease), the coordinator expires the lease, survivors take the
 	// jobs over, and the worker self-fences and rejoins after the heal.
 	p := victim()
 	p.Partition(netchaos.PartitionBoth)

@@ -61,13 +61,20 @@ func newTestCoordinator(t *testing.T, cfg Config) (*Coordinator, *httptest.Serve
 // cleanup stops workers first.
 func startWorker(t *testing.T, url, dir string, capacity int) *Worker {
 	t.Helper()
-	w := NewWorker(WorkerConfig{
+	return runWorker(t, WorkerConfig{
 		Coordinator: url,
 		Capacity:    capacity,
 		SnapshotDir: dir,
 		Runner:      runner.Options{SnapshotEvery: 20_000, ProgressEvery: 10_000},
-		Logf:        t.Logf,
 	})
+}
+
+// runWorker runs a real in-process worker on cfg, logging to the test
+// and closed at test end.
+func runWorker(t *testing.T, cfg WorkerConfig) *Worker {
+	t.Helper()
+	cfg.Logf = t.Logf
+	w := NewWorker(cfg)
 	done := make(chan struct{})
 	go func() { w.Run(); close(done) }()
 	t.Cleanup(func() {
@@ -605,6 +612,15 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 	}
 	if code := f.complete(id, 1, res); code != http.StatusConflict {
 		t.Errorf("second completion: code %d, want 409", code)
+	}
+	// The state file keeps no start time, so the restored running job
+	// is dated from its result, still between admission and the end.
+	v = getJob(t, ts2, id)
+	if v.Started == "" {
+		t.Fatalf("restored job finished with no start time: %+v", v)
+	}
+	if q, s, e := parseTime(t, v.Queued), parseTime(t, v.Started), parseTime(t, v.Finished); s.Before(q) || e.Before(s) {
+		t.Errorf("restored job: queued %s started %s finished %s, want them in order", v.Queued, v.Started, v.Finished)
 	}
 }
 

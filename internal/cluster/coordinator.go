@@ -14,8 +14,9 @@ import (
 // Config parameterizes the coordinator.
 type Config struct {
 	// LeaseTTL is how long a worker lease lives without a heartbeat
-	// renewal (0 = DefaultLeaseTTL). Workers learn it at join and
-	// heartbeat at a third of it.
+	// renewal (0 = DefaultLeaseTTL). Workers learn it at join and give
+	// each heartbeat a third of it to answer; the coordinator holds a
+	// heartbeat with nothing to deliver for up to a sixth of it.
 	LeaseTTL time.Duration
 	// MaxJobs bounds the non-terminal job table (0 = DefaultMaxJobs).
 	// A full table refuses submissions with 429 + Retry-After.
@@ -72,6 +73,30 @@ type workerEntry struct {
 	lastSeq uint64
 	// jobs is the set of job IDs currently leased to this worker.
 	jobs map[string]struct{}
+	// wake is closed, and replaced, when an assignment gives this
+	// worker a start: it releases every heartbeat the worker has held.
+	// Closing wakes all holders at once, so a stale held request
+	// cannot swallow the wake its successor is waiting for.
+	wake chan struct{}
+}
+
+// newWorkerEntry builds a lease entry, for a join or a restore.
+func newWorkerEntry(id string, capacity int, session string, deadline time.Time) *workerEntry {
+	return &workerEntry{
+		id:       id,
+		capacity: capacity,
+		deadline: deadline,
+		session:  session,
+		jobs:     map[string]struct{}{},
+		wake:     make(chan struct{}),
+	}
+}
+
+// wakeLocked releases the worker's held heartbeats. The caller must
+// hold c.mu.
+func (w *workerEntry) wakeLocked() {
+	close(w.wake)
+	w.wake = make(chan struct{})
 }
 
 // newSession mints an unguessable session nonce.
@@ -233,9 +258,10 @@ func (c *Coordinator) expireLocked(now time.Time) (expired bool) {
 // assignLocked hands every unassigned queued job, in submission
 // order, to the live worker with the most free slots (ties go to the
 // lower worker ID), each assignment under a freshly bumped fencing
-// epoch. Jobs that find no free slot stay pending for the next pass.
-// It reports whether anything was assigned; persisting is the
-// caller's, once per request.
+// epoch, and wakes that worker's held heartbeat to deliver it. Jobs
+// that find no free slot stay pending for the next pass. It reports
+// whether anything was assigned; persisting is the caller's, once per
+// request.
 func (c *Coordinator) assignLocked() (changed bool) {
 	c.plane.Each(func(j *server.Job) bool {
 		if j.Status != server.StatusQueued || j.Owner != "" {
@@ -248,6 +274,7 @@ func (c *Coordinator) assignLocked() (changed bool) {
 		j.Owner = w.id
 		j.Epoch = c.stampEpochLocked()
 		w.jobs[j.ID] = struct{}{}
+		w.wakeLocked()
 		c.repJobLocked(j)
 		changed = true
 		return true
@@ -388,10 +415,11 @@ func (c *Coordinator) Metrics() string {
 	return c.metrics.render(c.gaugesSnapshot())
 }
 
-// Close stops the expiry loop, marks the coordinator draining, and
-// persists a final state snapshot. Workers keep running until their
-// heartbeats fail; on the next coordinator start they either renew
-// (restart within the grace TTL) or rejoin.
+// Close stops the expiry loop, releases every held heartbeat (so a
+// server shutdown that follows need not wait out a hold), marks the
+// coordinator draining, and persists a final state snapshot. Workers
+// keep running until their heartbeats fail; on the next coordinator
+// start they either renew (restart within the grace TTL) or rejoin.
 func (c *Coordinator) Close() {
 	c.stopOnce.Do(func() {
 		c.draining.Store(true)

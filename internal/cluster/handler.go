@@ -49,13 +49,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	c.nextWorker++
-	we := &workerEntry{
-		id:       fmt.Sprintf("w%04d", c.nextWorker),
-		capacity: req.Capacity,
-		deadline: time.Now().Add(c.cfg.LeaseTTL),
-		session:  newSession(),
-		jobs:     map[string]struct{}{},
-	}
+	we := newWorkerEntry(fmt.Sprintf("w%04d", c.nextWorker), req.Capacity, newSession(), time.Now().Add(c.cfg.LeaseTTL))
 	c.workers[we.id] = we
 	c.repWorkerLocked(we)
 	c.assignLocked()
@@ -68,15 +62,18 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHeartbeat renews the worker's lease and reconciles its running
-// set against the coordinator's desired state.
+// set against the coordinator's desired state. A heartbeat with
+// nothing to deliver is a long-poll: it is held until an assignment
+// wakes the worker's entry, the coordinator closes, the worker gives
+// up on the request, or a sixth of the lease runs out. That limit is
+// half the worker's heartbeat deadline (a third of the lease), so a
+// held answer lands in time, and the lease, renewed on receipt, never
+// lapses under a held request.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	resp := HeartbeatResponse{LeaseTTLMS: c.cfg.LeaseTTL.Milliseconds()}
-	var started []*server.Job
-
 	c.mu.Lock()
 	we := c.workers[req.Worker]
 	if we == nil {
@@ -106,45 +103,73 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	// This sits after the session/seq check on purpose: a duplicated
 	// heartbeat must not double-count its deltas.
 	c.metrics.onRPCReport(req.RPCRetries, req.RPCTimeouts)
-
-	// The worker's reality: everything it runs without a current lease
-	// gets a stop; everything leased that it isn't running gets a
-	// start.
-	running := make(map[string]uint64, len(req.Running))
-	for _, rj := range req.Running {
-		running[rj.Job] = rj.Epoch
-		j := c.plane.Get(rj.Job)
-		if j == nil || j.Owner != req.Worker || j.Epoch != rj.Epoch || server.Terminal(j.Status) {
-			resp.Stop = append(resp.Stop, rj.Job)
-			continue
+	resp := c.deltaLocked(we, req.Running)
+	if len(resp.Start) == 0 && len(resp.Stop) == 0 {
+		wake := we.wake
+		c.mu.Unlock()
+		hold := time.NewTimer(c.cfg.LeaseTTL / 6)
+		select {
+		case <-wake:
+		case <-c.stopCh:
+		case <-r.Context().Done():
+		case <-hold.C:
 		}
-		if j.Status == server.StatusQueued {
-			j.Status = server.StatusRunning
-			j.Started = time.Now()
-			c.repJobLocked(j)
-			started = append(started, j)
+		hold.Stop()
+		// The request that assigned a job holds c.mu until it has saved
+		// the state, so a start is never delivered before its epoch is
+		// durable. A newer heartbeat from the same worker supersedes
+		// this one: that one gets the delta, and this one delivers
+		// nothing.
+		c.mu.Lock()
+		if c.workers[req.Worker] == we && we.lastSeq == req.Seq {
+			resp = c.deltaLocked(we, req.Running)
 		}
-	}
-	for jid := range we.jobs {
-		j := c.plane.Get(jid)
-		if j == nil || server.Terminal(j.Status) || j.Owner != req.Worker {
-			delete(we.jobs, jid)
-			continue
-		}
-		if ep, ok := running[jid]; ok && ep == j.Epoch {
-			continue
-		}
-		resp.Start = append(resp.Start, Assignment{Job: jid, Epoch: j.Epoch, Spec: j.Spec, Resume: j.Resume})
 	}
 	c.mu.Unlock()
 
 	if n := len(resp.Stop); n > 0 {
 		c.metrics.onRevoke(n)
 	}
-	for _, j := range started {
-		j.Events.Publish(server.Event{Type: "status", Job: j.ID, Status: server.StatusRunning})
-	}
 	server.WriteJSON(w, http.StatusOK, resp)
+}
+
+// deltaLocked reconciles a worker's reported running set against the
+// lease table. A queued job the worker runs under its current lease
+// becomes running (its running event is published under the lock, so
+// it always precedes the done event); an attempt without a current
+// lease gets a stop; a leased job the worker does not run gets a start.
+// The caller must hold c.mu.
+func (c *Coordinator) deltaLocked(we *workerEntry, running []RunningJob) HeartbeatResponse {
+	resp := HeartbeatResponse{LeaseTTLMS: c.cfg.LeaseTTL.Milliseconds()}
+	epochs := make(map[string]uint64, len(running))
+	for _, rj := range running {
+		epochs[rj.Job] = rj.Epoch
+		j := c.plane.Get(rj.Job)
+		switch {
+		case j != nil && server.Terminal(j.Status) && j.Epoch == rj.Epoch:
+			// This very attempt's result is in (epochs name one
+			// assignment): it is on its way out, with nothing to stop.
+		case j == nil || j.Owner != we.id || j.Epoch != rj.Epoch || server.Terminal(j.Status):
+			resp.Stop = append(resp.Stop, rj.Job)
+		case j.Status == server.StatusQueued:
+			j.Status = server.StatusRunning
+			j.Started = time.Now()
+			c.repJobLocked(j)
+			j.Events.Publish(server.Event{Type: "status", Job: j.ID, Status: server.StatusRunning})
+		}
+	}
+	for jid := range we.jobs {
+		j := c.plane.Get(jid)
+		if j == nil || server.Terminal(j.Status) || j.Owner != we.id {
+			delete(we.jobs, jid)
+			continue
+		}
+		if ep, ok := epochs[jid]; ok && ep == j.Epoch {
+			continue
+		}
+		resp.Start = append(resp.Start, Assignment{Job: jid, Epoch: j.Epoch, Spec: j.Spec, Resume: j.Resume})
+	}
+	return resp
 }
 
 // handleComplete records a terminal result — exactly once. Any write
@@ -169,7 +194,22 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := req.Result
+	unstarted := j.Status == server.StatusQueued
 	j.Finish(res)
+	if unstarted || j.Started.IsZero() {
+		// No heartbeat reported this attempt running before its result
+		// arrived (a job shorter than one round trip), or a restart or
+		// promotion lost the start time (the state keeps none): date
+		// the start back by the attempt's wall time, never before
+		// admission.
+		j.Started = j.Finished.Add(-time.Duration(res.WallNS))
+		if j.Started.Before(j.Queued) {
+			j.Started = j.Queued
+		}
+	}
+	if unstarted {
+		j.Events.Publish(server.Event{Type: "status", Job: j.ID, Status: server.StatusRunning})
+	}
 	j.Owner = ""
 	if we := c.workers[req.Worker]; we != nil {
 		delete(we.jobs, req.Job)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -76,7 +77,10 @@ var contractPlanes = []contractPlane{
 		prefix: "dsasimd_cluster_",
 		boot: func(t *testing.T, stateFile string) planeUnderTest {
 			c, ts := newTestCoordinator(t, Config{LeaseTTL: 3 * time.Second, MaxJobs: 2, RetryAfter: contractRetryAfter, StateFile: stateFile})
-			startWorker(t, ts.URL, t.TempDir(), 1)
+			// Like the standalone plane, the worker runs jobs without
+			// periodic checkpoints, so both run the script's jobs at
+			// the same speed.
+			runWorker(t, WorkerConfig{Coordinator: ts.URL, SnapshotDir: t.TempDir()})
 			waitReady(t, ts, 10*time.Second)
 			return planeUnderTest{ts: ts, drain: c.Close}
 		},
@@ -159,11 +163,49 @@ func waitStatus(t *testing.T, ts *httptest.Server, id, want string) {
 	}
 }
 
+// statusTrail reads a job's event stream to its done event and returns
+// the status of each status and done event in order.
+func statusTrail(t *testing.T, ts *httptest.Server, id string) []string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	defer resp.Body.Close()
+	var trail []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		payload, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev server.Event
+		if err := json.Unmarshal([]byte(payload), &ev); err != nil {
+			t.Fatalf("bad SSE payload %q: %v", payload, err)
+		}
+		if ev.Type != "progress" {
+			trail = append(trail, ev.Status)
+		}
+		if ev.Type == "done" {
+			return trail
+		}
+	}
+	t.Fatalf("event stream of %s ended without a done event (statuses %v): %v", id, trail, sc.Err())
+	return nil
+}
+
 // TestJobPlaneContract runs one script against both job planes — the
 // standalone daemon and a coordinator with one in-process worker — so
 // an admission or readiness rule cannot hold on one and drift on the
 // other: 400 on a bad spec; Idempotency-Key replay before validation;
-// CR/LF trimmed from names; the job-result metric family; 429 with a
+// CR/LF trimmed from names; the job-result metric family; a queued
+// job's lifecycle on its event stream and in its view; 429 with a
 // jittered Retry-After when full, with /readyz failing for the same
 // reason; 503 while draining. It also restores each plane from a
 // literal state file in the previous release's format, checks the job
@@ -201,6 +243,28 @@ func TestJobPlaneContract(t *testing.T) {
 				if !strings.Contains(m, want+"\n") {
 					t.Errorf("metrics missing %q", want)
 				}
+			}
+
+			// A job queued behind a running one streams queued, running,
+			// then done, and its view orders Queued ≤ Started ≤ Finished.
+			gateBody := `{"name":"gate","source":` + strconv.Quote(longSource(1_000_000)) + `,"config":"scalar"}`
+			resp, gate := contractPost(t, p.ts, gateBody, "")
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("gate job: code %d", resp.StatusCode)
+			}
+			waitStatus(t, p.ts, gate.ID, server.StatusRunning)
+			resp, short := contractPost(t, p.ts, `{"workload":"mm_32x32","config":"scalar"}`, "")
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("short job: code %d", resp.StatusCode)
+			}
+			if got, want := statusTrail(t, p.ts, short.ID), []string{server.StatusQueued, server.StatusRunning, "ok"}; !reflect.DeepEqual(got, want) {
+				t.Errorf("event stream of a queued job: statuses %v, want %v", got, want)
+			}
+			waitStatus(t, p.ts, gate.ID, "terminal")
+			v := getJob(t, p.ts, short.ID)
+			q, s, f := parseTime(t, v.Queued), parseTime(t, v.Started), parseTime(t, v.Finished)
+			if s.Before(q) || f.Before(s) {
+				t.Errorf("finished job: queued %s started %s finished %s, want them in order", v.Queued, v.Started, v.Finished)
 			}
 
 			// Fill the plane: one job running, one waiting, then 429.

@@ -9,7 +9,10 @@
 // The protocol is pull-only: workers have no HTTP listener. A
 // heartbeat request carries the worker's running set; the response
 // carries the desired-state delta (assignments to start, leases to
-// stop) and the worker reconciles. Failure detection is the absence
+// stop) and the worker reconciles. A heartbeat with nothing to deliver
+// is a long-poll: the coordinator holds it until an assignment for that
+// worker wakes it, so a job reaches its worker within one round trip
+// instead of at the next heartbeat. Failure detection is the absence
 // of heartbeats: a lease that is not renewed within its TTL expires,
 // and the dead worker's jobs are reassigned at higher epochs to the
 // survivors, which resume from the highest-epoch checkpoint on the
@@ -36,8 +39,9 @@ type JoinResponse struct {
 	// nonce — a delayed duplicate from a fenced predecessor — is
 	// rejected with 409 and can never renew a lease.
 	Session string `json:"session"`
-	// LeaseTTLMS is the lease duration; the worker must heartbeat
-	// well within it (TTL/3 is the convention).
+	// LeaseTTLMS is the lease duration. The worker gives each heartbeat
+	// TTL/3 to answer; the coordinator holds one with nothing to
+	// deliver for at most TTL/6.
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
 }
 

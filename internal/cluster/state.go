@@ -94,13 +94,7 @@ func (c *Coordinator) adoptStateLocked(st *clusterState) {
 		// the grace window is harmless — replay rejection matters for
 		// *fenced* sessions, whose nonces are gone from the table
 		// entirely.
-		c.workers[pw.ID] = &workerEntry{
-			id:       pw.ID,
-			capacity: pw.Capacity,
-			deadline: grace,
-			session:  pw.Session,
-			jobs:     map[string]struct{}{},
-		}
+		c.workers[pw.ID] = newWorkerEntry(pw.ID, pw.Capacity, pw.Session, grace)
 	}
 	for _, j := range c.plane.Restore(st.Jobs) {
 		if j.Owner == "" {

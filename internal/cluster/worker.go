@@ -21,8 +21,8 @@ import (
 // Worker RPC knobs. Every cluster RPC carries its own context
 // deadline: without one, a single hung request on a shared client
 // timeout (10s, say) could burn most of a 5s lease and force a
-// spurious self-fence. Heartbeats are capped tighter still — at the
-// heartbeat interval — so a stalled renewal leaves room to retry
+// spurious self-fence. Heartbeats are capped tighter still — at a
+// third of the lease — so a stalled renewal leaves room to retry
 // before the lease runs out.
 const (
 	// rpcTimeout bounds join, complete, and progress RPCs.
@@ -80,9 +80,11 @@ type assignment struct {
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
-	stopCh chan struct{}
-	once   sync.Once
-	jobWG  sync.WaitGroup
+	// ctx ends at Close: it stops the worker's loops and cancels a
+	// heartbeat the coordinator is holding.
+	ctx   context.Context
+	stop  context.CancelFunc
+	jobWG sync.WaitGroup
 
 	// endpoints is the coordinator endpoint list; epIdx mod len is the
 	// one currently in use (a monotonic index so concurrent failures
@@ -112,10 +114,12 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	ctx, stop := context.WithCancel(context.Background())
 	return &Worker{
 		cfg:       cfg,
 		client:    &http.Client{Transport: cfg.Transport},
-		stopCh:    make(chan struct{}),
+		ctx:       ctx,
+		stop:      stop,
 		running:   map[string]assignment{},
 		endpoints: splitEndpoints(cfg.Coordinator),
 	}
@@ -164,9 +168,10 @@ func (w *Worker) Run() {
 	}
 }
 
-// Close stops the worker: running attempts are revoked (each leaves a
-// checkpoint for its next owner) and Run returns.
-func (w *Worker) Close() { w.once.Do(func() { close(w.stopCh) }) }
+// Close stops the worker: a held heartbeat is canceled, running
+// attempts are revoked (each leaves a checkpoint for its next owner)
+// and Run returns.
+func (w *Worker) Close() { w.stop() }
 
 // countFailure classifies one failed RPC into the retry/timeout
 // tallies the next heartbeat reports.
@@ -194,7 +199,7 @@ func (w *Worker) join() (id, session string, ttl time.Duration, ok bool) {
 	backoff := 2 * backoffBase
 	for {
 		var resp JoinResponse
-		code, err := w.post(rpcTimeout, "/cluster/v1/join", JoinRequest{Capacity: w.cfg.Capacity}, &resp)
+		code, err := w.post(context.Background(), rpcTimeout, "/cluster/v1/join", JoinRequest{Capacity: w.cfg.Capacity}, &resp)
 		if err == nil && code == http.StatusOK && resp.Worker != "" {
 			return resp.Worker, resp.Session, time.Duration(resp.LeaseTTLMS) * time.Millisecond, true
 		}
@@ -206,7 +211,7 @@ func (w *Worker) join() (id, session string, ttl time.Duration, ok bool) {
 			w.cfg.Logf("dsasimd-worker: join refused (%d, retrying)", code)
 		}
 		select {
-		case <-w.stopCh:
+		case <-w.ctx.Done():
 			return "", "", 0, false
 		case <-time.After(fullJitter(backoff)):
 		}
@@ -216,10 +221,18 @@ func (w *Worker) join() (id, session string, ttl time.Duration, ok bool) {
 	}
 }
 
-// serveSession drives one lease lifetime: heartbeat at TTL/3 (sooner,
-// with jittered backoff, after a failure), reconcile the response,
-// self-fence at the end. Returns true to rejoin, false when the
-// worker is closing.
+// serveSession drives one lease lifetime: heartbeat, reconcile the
+// response, self-fence at the end. Returns true to rejoin, false when
+// the worker is closing.
+//
+// The coordinator holds a heartbeat with nothing to deliver for up to
+// half its deadline, so the next heartbeat's timing follows the answer:
+// at once after launching a job (the coordinator marks it running
+// within one round trip); after any other answer, no sooner than half
+// the deadline after the previous send (a held answer has already
+// waited that long, and a coordinator that answers at once, or a stop
+// the worker is still unwinding, cannot make it spin); sooner, with
+// jittered backoff, after a failure.
 func (w *Worker) serveSession(id, session string, ttl time.Duration) (rejoin bool) {
 	ropts := w.cfg.Runner
 	ropts.Workers = w.cfg.Capacity
@@ -246,7 +259,10 @@ func (w *Worker) serveSession(id, session string, ttl time.Duration) (rejoin boo
 	for {
 		sent := time.Now()
 		resp, code, err := w.heartbeat(hb)
-		sleep := hb
+		if w.ctx.Err() != nil {
+			return false
+		}
+		var sleep time.Duration
 		switch {
 		case err == nil && code == http.StatusConflict:
 			// Fenced: the session nonce (or our whole lease) is dead on
@@ -256,7 +272,9 @@ func (w *Worker) serveSession(id, session string, ttl time.Duration) (rejoin boo
 		case err == nil && code == http.StatusOK:
 			leaseUntil = sent.Add(ttl)
 			failures = 0
-			w.reconcile(id, pool, resp)
+			if !w.reconcile(id, pool, resp) {
+				sleep = hb/2 - time.Since(sent)
+			}
 		case time.Now().After(leaseUntil):
 			// Could not renew within our own TTL: the coordinator has
 			// (or soon will have) expired us and reassigned our jobs.
@@ -282,7 +300,7 @@ func (w *Worker) serveSession(id, session string, ttl time.Duration) (rejoin boo
 			sleep = fullJitter(d)
 		}
 		select {
-		case <-w.stopCh:
+		case <-w.ctx.Done():
 			return false
 		case <-time.After(sleep):
 		}
@@ -290,10 +308,11 @@ func (w *Worker) serveSession(id, session string, ttl time.Duration) (rejoin boo
 }
 
 // heartbeat reports the running set and fetches the desired-state
-// delta. Its RPC deadline is the heartbeat interval itself: a renewal
-// that cannot complete within one cadence is worthless, and waiting
-// longer only eats the lease.
-func (w *Worker) heartbeat(interval time.Duration) (*HeartbeatResponse, int, error) {
+// delta. Its RPC deadline is a third of the lease: twice the longest
+// the coordinator holds a heartbeat, so a held answer arrives in time,
+// while a renewal that cannot complete within that is worthless and
+// waiting longer only eats the lease. Close cancels it.
+func (w *Worker) heartbeat(deadline time.Duration) (*HeartbeatResponse, int, error) {
 	retries := w.rpcRetries.Load()
 	timeouts := w.rpcTimeouts.Load()
 	w.mu.Lock()
@@ -310,7 +329,7 @@ func (w *Worker) heartbeat(interval time.Duration) (*HeartbeatResponse, int, err
 	}
 	w.mu.Unlock()
 	var resp HeartbeatResponse
-	code, err := w.post(interval, "/cluster/v1/heartbeat", req, &resp)
+	code, err := w.post(w.ctx, deadline, "/cluster/v1/heartbeat", req, &resp)
 	if err != nil {
 		return nil, code, err
 	}
@@ -323,8 +342,9 @@ func (w *Worker) heartbeat(interval time.Duration) (*HeartbeatResponse, int, err
 	return &resp, code, nil
 }
 
-// reconcile applies a heartbeat's stop and start lists.
-func (w *Worker) reconcile(id string, pool *runner.Pool, resp *HeartbeatResponse) {
+// reconcile applies a heartbeat's stop and start lists and reports
+// whether it launched anything.
+func (w *Worker) reconcile(id string, pool *runner.Pool, resp *HeartbeatResponse) (launched bool) {
 	for _, job := range resp.Stop {
 		w.cfg.Logf("dsasimd-worker: %s revoking %s (fenced)", id, job)
 		pool.Revoke(job)
@@ -345,6 +365,7 @@ func (w *Worker) reconcile(id string, pool *runner.Pool, resp *HeartbeatResponse
 	for _, a := range starts {
 		w.launch(id, pool, a)
 	}
+	return len(starts) > 0
 }
 
 // launch runs one assignment on the pool in its own goroutine and
@@ -382,7 +403,7 @@ func (w *Worker) report(id string, a Assignment, res server.ResultJSON) {
 	req := CompleteRequest{Worker: id, Job: a.Job, Epoch: a.Epoch, Result: res}
 	backoff := 2 * backoffBase
 	for i := 0; i < completeAttempts; i++ {
-		code, err := w.post(rpcTimeout, "/cluster/v1/complete", req, nil)
+		code, err := w.post(context.Background(), rpcTimeout, "/cluster/v1/complete", req, nil)
 		if err == nil {
 			switch code {
 			case http.StatusOK:
@@ -398,7 +419,7 @@ func (w *Worker) report(id string, a Assignment, res server.ResultJSON) {
 			w.rpcRetries.Add(1)
 		}
 		select {
-		case <-w.stopCh:
+		case <-w.ctx.Done():
 			return
 		case <-time.After(fullJitter(backoff)):
 		}
@@ -421,7 +442,7 @@ func (w *Worker) onProgress(p runner.Progress) {
 		return
 	}
 	req := ProgressRequest{Worker: id, Job: p.Job, Epoch: a.epoch, Progress: server.ProgressFromRunner(p)}
-	if _, err := w.post(rpcTimeout, "/cluster/v1/progress", req, nil); err != nil {
+	if _, err := w.post(context.Background(), rpcTimeout, "/cluster/v1/progress", req, nil); err != nil {
 		var ne net.Error
 		if errors.Is(err, context.DeadlineExceeded) || (errors.As(err, &ne) && ne.Timeout()) {
 			w.rpcTimeouts.Add(1)
@@ -441,18 +462,18 @@ func (w *Worker) fence(pool *runner.Pool) {
 	pool.Close()
 }
 
-// post sends one JSON request under its own context deadline; out,
+// post sends one JSON request under its own deadline within ctx; out,
 // when non-nil, receives a decoded 200 body. A decode failure (a
 // truncated response, say) is reported as an error alongside the
 // status code.
-func (w *Worker) post(timeout time.Duration, path string, in, out any) (int, error) {
+func (w *Worker) post(ctx context.Context, timeout time.Duration, path string, in, out any) (int, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return 0, err
 	}
 	idx := w.epIdx.Load()
 	base := w.endpoints[int(idx%uint32(len(w.endpoints)))]
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
